@@ -36,6 +36,7 @@ mirror rebuild / publish) against AS OF readers.  Lock order is always
 from __future__ import annotations
 
 import marshal
+import operator
 import threading
 import zlib
 from typing import Any, Callable, Iterator, Optional, Sequence
@@ -59,7 +60,8 @@ _TAG_CHUNK = 0x02
 PUSHABLE_OPS = ("=", "<", "<=", ">", ">=", "between", "isnull", "notnull")
 
 
-def spec_test(op: str, value=None, low=None, high=None
+def spec_test(op: str, value=None, low=None, high=None,
+              low_inclusive: bool = True, high_inclusive: bool = True
               ) -> Callable[[Any], bool]:
     """value -> "conjunct is SQL TRUE" — the exact 3VL semantics of the
     compiled predicate (None operands are UNKNOWN, never TRUE), so
@@ -71,7 +73,10 @@ def spec_test(op: str, value=None, low=None, high=None
     if op == "between":
         if low is None or high is None:
             return lambda v: False
-        return lambda v: v is not None and low <= v <= high
+        above = operator.le if low_inclusive else operator.lt
+        below = operator.le if high_inclusive else operator.lt
+        return lambda v: v is not None and above(low, v) \
+            and below(v, high)
     if value is None:
         return lambda v: False
     if op == "=":
@@ -449,7 +454,8 @@ class ColumnarStore:
             index = column_index.get(spec.column)
             if index is None or spec.op not in PUSHABLE_OPS:
                 continue
-            test = spec_test(spec.op, spec.value, spec.low, spec.high)
+            test = spec_test(spec.op, spec.value, spec.low, spec.high,
+                             spec.low_inclusive, spec.high_inclusive)
             verdicts = encoded[index].matches(test)
             if flags is None:
                 flags = verdicts

@@ -9,8 +9,9 @@ signals must agree before the advisor spends a build.
 Stability is the hard part — an advisor that flaps costs more than a
 bad static choice — so every action sits behind hysteresis:
 
-- **create** requires the same ``(table, column)`` equality predicate to
-  clear the sighting threshold in ``confirm`` *consecutive* windows;
+- **create** requires the same ``(table, column)`` equality or range
+  predicate to clear the sighting threshold in ``confirm``
+  *consecutive* windows;
 - **drop** applies only to advisor-created indexes, and only after the
   index went unprobed for ``drop_after`` consecutive windows on a table
   that is still taking writes (an unused index on a read-only table is
@@ -50,7 +51,8 @@ class IndexAdvisor:
         self.cooldown = cooldown
         self.drop_after = drop_after
         self.max_indexes = max_indexes
-        #: (table, column) -> consecutive qualifying windows.
+        #: (table, column, "=" | "range") -> consecutive qualifying
+        #: windows.
         self._create_streaks: dict[tuple, int] = {}
         #: index name -> consecutive idle windows.
         self._idle_streaks: dict[str, int] = {}
@@ -72,11 +74,12 @@ class IndexAdvisor:
         return {index.definition.columns[0]
                 for index in table.indexes.values()}
 
-    def _selective_enough(self, table_name: str,
-                          column: str) -> Optional[str]:
-        """ANALYZE-based profitability check; returns the evidence
-        string when the column qualifies, None otherwise (collecting
-        statistics on demand the first time a table shows up)."""
+    def _selective_enough(self, table_name: str, column: str,
+                          kind: str) -> Optional[str]:
+        """ANALYZE-based profitability check for the sighted predicate
+        ``kind`` ("=" or "range"); returns the evidence string when the
+        column qualifies, None otherwise (collecting statistics on
+        demand the first time a table shows up)."""
         stats = self.db.catalog.stats_for(table_name)
         if stats is None:
             try:
@@ -97,17 +100,26 @@ class IndexAdvisor:
         # optimizer then prices above a (cached) sequential scan, and a
         # built-but-never-probed index is the starved half of a
         # create/drop flap.  Both sides must agree before a build.
-        from repro.data.sql.optimizer import CostModel
+        from repro.data.sql.optimizer import (
+            DEFAULT_RANGE_SELECTIVITY,
+            CostModel,
+        )
         model = CostModel(buffer_pages=getattr(
             self.db.pool, "capacity", 256))
         pages = max(stats.page_count, 1)
-        matching = stats.row_count / max(column_stats.n_distinct, 1)
-        probe = model.index_scan(pages, stats.row_count, matching)
+        # Range widths are not observed, only that ranges are asked:
+        # price the textbook one-sided default.
+        selectivity = 1.0 / max(column_stats.n_distinct, 1) \
+            if kind == "=" else DEFAULT_RANGE_SELECTIVITY
+        probe = model.index_scan(pages, stats.row_count,
+                                 stats.row_count * selectivity,
+                                 column_stats.correlation)
         scan = model.seq_scan(pages, stats.row_count)
         if probe >= scan:
             return None
         return (f"rows={stats.row_count} "
                 f"ndv={column_stats.n_distinct} "
+                f"correlation={column_stats.correlation:.2f} "
                 f"cost={probe:.2f}<{scan:.2f}")
 
     # -- the decision step -----------------------------------------------------------
@@ -135,20 +147,24 @@ class IndexAdvisor:
         return []
 
     def _advance_create_streaks(self, window: WorkloadWindow) -> None:
+        from repro.data.sql.optimizer import INTERVAL_OPS
         qualifying = set()
         for table_name, activity in window.tables.items():
             indexed = None   # lazily computed per table
             for (column, op), count in activity.predicates.items():
-                if op != "=" or count < self.min_sightings:
+                # A two-sided range sights two ops per statement; each
+                # op is thresholded on its own, so it counts once.
+                kind = "=" if op == "=" \
+                    else "range" if op in INTERVAL_OPS else None
+                if kind is None or count < self.min_sightings:
                     continue
-                key = (table_name, column)
-                if key in self.scars:
+                if (table_name, column) in self.scars:
                     continue
                 if indexed is None:
                     indexed = self._indexed_columns(table_name)
                 if column in indexed:
                     continue
-                qualifying.add(key)
+                qualifying.add((table_name, column, kind))
         for key in list(self._create_streaks):
             if key not in qualifying:
                 del self._create_streaks[key]   # consecutive or nothing
@@ -173,8 +189,8 @@ class IndexAdvisor:
             return None
         ready = [key for key, streak in self._create_streaks.items()
                  if streak >= self.confirm]
-        for table_name, column in sorted(ready):
-            evidence = self._selective_enough(table_name, column)
+        for table_name, column, kind in sorted(ready):
+            evidence = self._selective_enough(table_name, column, kind)
             if evidence is None:
                 continue
             name = f"{ADVISOR_PREFIX}{table_name}_{column}"
@@ -183,11 +199,12 @@ class IndexAdvisor:
                     f"CREATE INDEX {name} ON {table_name} ({column})")
                 self.db.execute(f"ANALYZE {table_name}")
             except Exception as exc:  # noqa: BLE001 — e.g. DDL race
-                self._create_streaks.pop((table_name, column), None)
+                self._create_streaks.pop((table_name, column, kind),
+                                         None)
                 return {"at": time.time(), "action": "create_index",
                         "index": name, "table": table_name,
                         "column": column, "error": str(exc)}
-            self._create_streaks.pop((table_name, column), None)
+            self._create_streaks.pop((table_name, column, kind), None)
             self.created[name] = (table_name, column)
             return {"at": time.time(), "action": "create_index",
                     "index": name, "table": table_name,
@@ -223,7 +240,7 @@ class IndexAdvisor:
             "created": {name: list(key)
                         for name, key in sorted(self.created.items())},
             "scars": sorted(list(s) for s in self.scars),
-            "pending": {f"{t}.{c}": streak for (t, c), streak
+            "pending": {f"{t}.{c}": streak for (t, c, _), streak
                         in sorted(self._create_streaks.items())},
             "cooldown_left": self._cooldown_left,
             "actions": len(self.actions),

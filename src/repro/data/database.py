@@ -32,7 +32,12 @@ from repro.data.sql.plancache import (
     StalePlanError,
     build_template,
 )
-from repro.data.sql.planner import Planner, PlanInfo, Scope
+from repro.data.sql.planner import (
+    Planner,
+    PlanInfo,
+    Scope,
+    explain_estimate,
+)
 from repro.data.transactions import Transaction, TransactionManager
 from repro.access.record import ColumnType
 from repro.errors import (
@@ -777,9 +782,7 @@ class Database:
                     ("access_path", plan.access_path),
                     ("store", f"{query.table}=heap")]
             if plan.cost_based:
-                rows.append(("estimate",
-                             f"{query.table}: rows={plan.est_rows} "
-                             f"cost={plan.est_cost}"))
+                rows.append(("estimate", explain_estimate(plan.estimate)))
             plan_dict = plan.as_dict()
             if cached_state is not None:
                 rows.append(("cached", cached_state))
@@ -797,10 +800,8 @@ class Database:
         rows.extend(("access_path", p) for p in info.access_paths)
         rows.extend(("store", s) for s in info.stores)
         if info.cost_based:
-            rows.extend(
-                ("estimate",
-                 f"{e['binding']}: rows={e['rows']} cost={e['cost']}")
-                for e in info.estimates)
+            rows.extend(("estimate", explain_estimate(e))
+                        for e in info.estimates)
         rows.extend(("join", j) for j in info.joins)
         if info.cost_based and info.join_order:
             rows.append(("join_order", " -> ".join(info.join_order)))

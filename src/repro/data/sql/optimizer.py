@@ -5,15 +5,20 @@ which predicates, which join edges) and a *physical* step (which access
 path per table, which join order, which join algorithm).  This module is
 the physical step's brain:
 
+- :func:`fold_intervals` merges all bounds on one column into a single
+  interval, so two conjuncts on the same column are estimated, probed
+  and pushed down as the one dependent event they are;
 - :class:`SelectivityEstimator` turns predicate shapes into expected
   row fractions using the ANALYZE snapshots in the catalog
   (:mod:`repro.data.sql.stats`), with textbook defaults when a value or
   histogram is unavailable;
 - :class:`CostModel` prices sequential pages, index probes, and join
   algorithms, aware of the buffer pool size (a table that fits in the
-  pool pays sequential-read cost even for "random" probes);
+  pool pays sequential-read cost even for "random" probes) and of how
+  closely heap order follows key order;
 - :func:`choose_access_path` picks heap scan vs index equality vs index
-  range per table reference;
+  range per table reference, and :func:`rule_access_path` is its
+  statistics-free fallback;
 - :func:`order_joins` greedily orders inner equi-join graphs by
   estimated intermediate cardinality and selects hash vs nested-loop
   per step.
@@ -29,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.data.sql.stats import ColumnStats, TableStats
+from repro.data.sql.stats import ColumnStats, TableStats, orderable
 
 # Default selectivities when no statistics (or no comparable value) are
 # available — the classical System R constants.
@@ -49,7 +54,10 @@ class PredicateSpec:
 
     ``op`` is one of ``= < <= > >= between isnull notnull in other``;
     ``value`` holds the comparison constant (or item count for ``in``),
-    ``low``/``high`` the BETWEEN bounds.
+    ``low``/``high`` the ``between`` bounds.  SQL BETWEEN is closed;
+    folding ``col > a AND col < b`` yields an open ``between``, and a
+    ``between`` with a NULL bound is never TRUE (how a folded empty
+    interval is spelled).
     """
 
     column: str
@@ -57,6 +65,94 @@ class PredicateSpec:
     value: object = None
     low: object = None
     high: object = None
+    low_inclusive: bool = True
+    high_inclusive: bool = True
+
+    def bounds(self) -> tuple[Optional[tuple], Optional[tuple]]:
+        """``(low, high)`` of a sargable spec, each ``(value,
+        inclusive)`` or None for an open side."""
+        if self.op == "between":
+            return ((self.low, self.low_inclusive),
+                    (self.high, self.high_inclusive))
+        if self.op == "=":
+            return (self.value, True), (self.value, True)
+        if self.op in (">", ">="):
+            return (self.value, self.op == ">="), None
+        return None, (self.value, self.op == "<=")
+
+    def describe(self) -> str:
+        """The interval as EXPLAIN prints it."""
+        if self.op != "between":
+            return f"{self.column} {self.op} {self.value!r}"
+        if self.low is None or self.high is None:
+            return f"{self.column} empty"
+        return (f"{self.low!r} {'<=' if self.low_inclusive else '<'} "
+                f"{self.column} "
+                f"{'<=' if self.high_inclusive else '<'} {self.high!r}")
+
+
+#: Ops that bound their column to an interval an index can walk.
+INTERVAL_OPS = frozenset({"=", "<", "<=", ">", ">=", "between"})
+
+
+def _fold_column(column: str,
+                 group: list[PredicateSpec]) -> Optional[PredicateSpec]:
+    """The one spec equivalent to ``group`` (all bounds on ``column``),
+    or None when the bound values do not share one ordered type."""
+    bounds = [spec.bounds() for spec in group]
+    lows = [low for low, _ in bounds if low is not None]
+    highs = [high for _, high in bounds if high is not None]
+    values = [value for value, _ in lows + highs]
+    never = PredicateSpec(column, "between")
+    if any(value is None for value in values):
+        return never    # a comparison with NULL is never TRUE
+    if not orderable(values):
+        return None
+    # Tightest bound per side; at equal values the exclusive one wins.
+    low = max(lows, key=lambda b: (b[0], not b[1])) if lows else None
+    high = min(highs) if highs else None
+    if high is None:
+        return PredicateSpec(column, ">=" if low[1] else ">", low[0])
+    if low is None:
+        return PredicateSpec(column, "<=" if high[1] else "<", high[0])
+    if low[0] > high[0] or (low[0] == high[0]
+                            and not (low[1] and high[1])):
+        return never
+    if low[0] == high[0]:
+        return PredicateSpec(column, "=", low[0])
+    return PredicateSpec(column, "between", low=low[0], high=high[0],
+                         low_inclusive=low[1], high_inclusive=high[1])
+
+
+def fold_intervals(specs: list[PredicateSpec]) -> list[PredicateSpec]:
+    """Merge every column's bounds (``= < <= > >= between``) into one
+    interval spec.
+
+    Two bounds on one column are not independent events — ``id > 10
+    AND id < 20`` keeps the rows between, not a third of a third — so
+    everything downstream (selectivity, the index range, zone-map
+    pushdown) sees one spec per column.  Columns with a single bound,
+    and bounds of mixed types (no common order to intersect in), pass
+    through untouched.
+    """
+    if len(specs) < 2:
+        return specs
+    groups: dict[str, list[PredicateSpec]] = {}
+    for spec in specs:
+        if spec.op in INTERVAL_OPS:
+            groups.setdefault(spec.column, []).append(spec)
+    if all(len(group) < 2 for group in groups.values()):
+        return specs
+    folded = []
+    for spec in specs:
+        group = groups.get(spec.column) \
+            if spec.op in INTERVAL_OPS else None
+        if group is None or len(group) < 2:
+            folded.append(spec)
+        elif spec is group[0]:
+            merged = _fold_column(spec.column, group)
+            folded.extend(group if merged is None else [merged])
+    return folded
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +182,12 @@ class SelectivityEstimator:
                 return column.range_selectivity(spec.op, spec.value)
             return DEFAULT_RANGE_SELECTIVITY
         if spec.op == "between":
+            if spec.low is None or spec.high is None:
+                return 0.0
             if column is not None and column.histogram:
-                return column.between_selectivity(spec.low, spec.high)
+                return column.between_selectivity(
+                    spec.low, spec.high, spec.low_inclusive,
+                    spec.high_inclusive)
             return DEFAULT_RANGE_SELECTIVITY / 2
         if spec.op == "isnull":
             return column.null_fraction if column is not None \
@@ -104,7 +204,9 @@ class SelectivityEstimator:
         return DEFAULT_SELECTIVITY
 
     def combined(self, specs: list[PredicateSpec]) -> float:
-        """Independence-assumption product over all conjuncts."""
+        """Independence-assumption product over folded conjuncts (see
+        :func:`fold_intervals`: independence is assumed *across*
+        columns, never between two bounds on one)."""
         selectivity = 1.0
         for spec in specs:
             selectivity *= self.conjunct(spec)
@@ -164,12 +266,24 @@ class CostModel:
         is charged per *operation*, not per materialised tuple."""
         return pages * self.seq_page_cost + rows * self.cpu_operator_cost
 
-    def index_scan(self, pages: int, rows: float,
-                   matching_rows: float) -> float:
-        """An index probe plus one heap fetch per matching row."""
-        probe = self._btree_height(rows) * self.random_page(pages)
-        fetches = matching_rows * self.random_page(pages)
-        return probe + fetches + matching_rows * self.cpu_tuple_cost
+    def index_scan(self, pages: int, rows: float, matching_rows: float,
+                   correlation: float = 0.0) -> float:
+        """An index probe plus the heap pages its matches touch.
+
+        Scattered matches (``correlation`` 0) cost one page each; when
+        heap order follows key order (±1) they sit in one run of
+        ``selectivity × pages`` pages plus the page the run starts in.
+        In between, interpolate on correlation², as PostgreSQL does.
+        """
+        random_page = self.random_page(pages)
+        touched = matching_rows
+        if matching_rows > 1.0:     # a lone match is one page anywhere
+            run_pages = matching_rows / rows * pages + 1.0
+            if run_pages < matching_rows:
+                touched += correlation * correlation \
+                    * (run_pages - matching_rows)
+        return (self._btree_height(rows) + touched) * random_page \
+            + matching_rows * self.cpu_tuple_cost
 
     def dml_overhead(self, matching_rows: float) -> float:
         """Write-side cost an UPDATE/DELETE adds to its chosen access
@@ -200,16 +314,40 @@ class ScanChoice:
 
     kind: str                  # seq | index_eq | index_range | columnar
     path: str                  # explain string, e.g. "index_eq(t.id)"
-    cost: float
-    est_rows: float            # rows after ALL pushable filters
-    column: Optional[str] = None
-    op: Optional[str] = None
-    value: object = None
-    low: object = None         # (value, inclusive) or None
-    high: object = None
+    cost: float = 0.0
+    est_rows: float = 0.0      # rows after ALL pushable filters
+    #: Index paths: the folded interval being probed (its ``bounds()``
+    #: are the range-scan bounds) and the heap-order correlation the
+    #: fetches were priced with.
+    interval: Optional[PredicateSpec] = None
+    correlation: float = 0.0
     #: Columnar scans carry the pushable conjuncts: zone maps skip
     #: blocks and encoded evaluation pre-filters rows with them.
     specs: tuple = ()
+
+
+def _record_sightings(table, specs: list[PredicateSpec]) -> None:
+    """Workload observation: every sargable conjunct planned is a
+    predicate sighting — whether or not an index exists yet.  That
+    asymmetry is the point: the index advisor reads these counts to
+    find columns that are filtered often but have no index."""
+    record = getattr(table, "record_predicate", None)
+    if record is not None:
+        for spec in specs:
+            if spec.column and spec.op != "other":
+                record(spec.column, spec.op)
+
+
+def _index_kind(table, spec: PredicateSpec) -> Optional[str]:
+    """``index_eq``/``index_range`` when an index of ``table`` can walk
+    ``spec``'s interval, else None."""
+    if spec.op not in INTERVAL_OPS:
+        return None
+    kind = "index_eq" if spec.op == "=" else "index_range"
+    if table.index_on((spec.column,),
+                      require_btree=kind == "index_range") is None:
+        return None
+    return kind
 
 
 def choose_access_path(table, stats: TableStats,
@@ -218,28 +356,21 @@ def choose_access_path(table, stats: TableStats,
                        columnar=None) -> ScanChoice:
     """Pick the cheapest access path for a base table.
 
-    ``specs`` are the single-table conjuncts; each spec whose column has
-    a matching index generates an index candidate, and a valid columnar
-    mirror (``columnar`` is the table's store when usable) generates a
+    ``specs`` are the single-table conjuncts, folded here to one
+    interval per column; each interval whose column has a matching
+    index generates an index candidate, and a valid columnar mirror
+    (``columnar`` is the table's store when usable) generates a
     columnar-scan candidate priced by its zone-map skipping estimate.
     The estimated output cardinality (used for join ordering) is the
     same for every candidate — it reflects all filters — only the cost
     differs.
     """
+    _record_sightings(table, specs)
+    specs = fold_intervals(specs)
     estimator = SelectivityEstimator(stats)
     rows = float(stats.row_count)
     pages = max(stats.page_count, 1)
     out_rows = max(rows * estimator.combined(specs), 0.0)
-
-    # Workload observation: every sargable conjunct priced here is a
-    # predicate sighting — whether or not an index exists yet.  That
-    # asymmetry is the point: the index advisor reads these counts to
-    # find columns that are filtered often but have no index.
-    record = getattr(table, "record_predicate", None)
-    if record is not None:
-        for spec in specs:
-            if spec.column and spec.op != "other":
-                record(spec.column, spec.op)
 
     best = ScanChoice("seq", f"seq_scan({table.name})",
                       cost_model.seq_scan(pages, rows), out_rows)
@@ -251,45 +382,34 @@ def choose_access_path(table, stats: TableStats,
                               f"columnar_scan({table.name})",
                               cost, out_rows, specs=tuple(specs))
     for spec in specs:
-        selectivity = estimator.conjunct(spec)
-        matching = rows * selectivity
-        if spec.op == "=":
-            index = table.index_on((spec.column,))
-            if index is None:
-                continue
-            cost = cost_model.index_scan(pages, rows, matching)
-            if cost < best.cost:
-                best = ScanChoice(
-                    "index_eq", f"index_eq({table.name}.{spec.column})",
-                    cost, out_rows, spec.column, "=", spec.value)
-        elif spec.op in ("<", "<=", ">", ">="):
-            index = table.index_on((spec.column,), require_btree=True)
-            if index is None:
-                continue
-            cost = cost_model.index_scan(pages, rows, matching)
-            if cost < best.cost:
-                low = high = None
-                if spec.op in (">", ">="):
-                    low = (spec.value, spec.op == ">=")
-                else:
-                    high = (spec.value, spec.op == "<=")
-                best = ScanChoice(
-                    "index_range",
-                    f"index_range({table.name}.{spec.column})",
-                    cost, out_rows, spec.column, spec.op,
-                    low=low, high=high)
-        elif spec.op == "between":
-            index = table.index_on((spec.column,), require_btree=True)
-            if index is None:
-                continue
-            cost = cost_model.index_scan(pages, rows, matching)
-            if cost < best.cost:
-                best = ScanChoice(
-                    "index_range",
-                    f"index_range({table.name}.{spec.column})",
-                    cost, out_rows, spec.column, "between",
-                    low=(spec.low, True), high=(spec.high, True))
+        kind = _index_kind(table, spec)
+        if kind is None:
+            continue
+        column = stats.column(spec.column)
+        correlation = column.correlation if column is not None else 0.0
+        cost = cost_model.index_scan(
+            pages, rows, rows * estimator.conjunct(spec), correlation)
+        if cost < best.cost:
+            best = ScanChoice(kind, f"{kind}({table.name}.{spec.column})",
+                              cost, out_rows, spec, correlation)
     return best
+
+
+def rule_access_path(table, specs: list[PredicateSpec],
+                     columnar=None) -> ScanChoice:
+    """Access path without statistics: the first interval an index can
+    serve, else the columnar mirror when valid, else the heap scan."""
+    _record_sightings(table, specs)
+    specs = fold_intervals(specs)
+    for spec in specs:
+        kind = _index_kind(table, spec)
+        if kind is not None:
+            return ScanChoice(kind, f"{kind}({table.name}.{spec.column})",
+                              interval=spec)
+    if columnar is not None:
+        return ScanChoice("columnar", f"columnar_scan({table.name})",
+                          specs=tuple(specs))
+    return ScanChoice("seq", f"seq_scan({table.name})")
 
 
 # ---------------------------------------------------------------------------

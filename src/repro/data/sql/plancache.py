@@ -52,7 +52,6 @@ from repro.access.operators import (
     Project,
     Select,
     Sort,
-    Source,
     TopK,
 )
 from repro.data.sql import ast
@@ -69,9 +68,11 @@ from repro.data.sql.planner import (
     Scope,
     _conjunct_bindings,
     _conjuncts,
+    _estimate_entry,
     _expression_name,
     _index_match,
     _predicate_spec,
+    _store_entry,
 )
 from repro.errors import CatalogError, SQLPlanError, SQLSyntaxError
 
@@ -288,7 +289,6 @@ class SelectTemplate:
     where: Optional[ast.Expression]
     conjuncts: list
     spec_ok: list[bool]
-    rule_pick: Optional[tuple[str, str, Callable]]
     predicate_factory: Optional[Callable]
     projection_factory: Callable
     out_columns: list[str]
@@ -301,11 +301,8 @@ class SelectTemplate:
     tables: tuple[str, ...] = ()
     kind: str = "select"
     #: Adaptation class ("point" | "analytic"): routes the statement
-    #: through the per-class engine override, and build-time sargable
-    #: ``(column, op)`` pairs recorded on non-cost-based executions so
-    #: the index advisor sees predicates even before ANALYZE.
+    #: through the per-class engine override.
     query_class: str = "analytic"
-    observed_pairs: tuple = ()
 
     def execute(self, db, params: tuple, state: str):
         txn, autocommit = db._txn()
@@ -342,8 +339,7 @@ class SelectTemplate:
         if columns != self.scope_columns:
             raise StalePlanError(self.table_name)
 
-        plan: Operator = self._source(planner, table, columns, params,
-                                      info)
+        plan: Operator = self._source(planner, table, params, info)
         if self.predicate_factory is not None:
             predicate = self.predicate_factory(params)
             plan = Select(plan, predicate.row,
@@ -373,79 +369,35 @@ class SelectTemplate:
             plan = Limit(plan, limit, offset)
         return plan, info
 
-    def _source(self, planner: Planner, table, columns: list[str],
-                params: tuple, info: PlanInfo) -> Operator:
+    def _source(self, planner: Planner, table, params: tuple,
+                info: PlanInfo) -> Operator:
         """Access-path choice per execution: cost-based from current
         statistics when present (same gate as the planner), else the
-        build-time rule match, else a sequential scan."""
+        planner's own rule-based leaf."""
+        schemas = {self.binding: table.schema}
+        specs = [
+            _predicate_spec(conjunct, self.binding, schemas, params)
+            for ok, conjunct in zip(self.spec_ok, self.conjuncts)
+            if ok]
         stats_for = getattr(planner.catalog, "stats_for", None)
         stats = stats_for(self.table_name) if stats_for is not None \
             else None
-        if stats is not None and not (stats.row_count == 0
-                                      and table.row_count):
-            schemas = {self.binding: table.schema}
-            specs = [
-                _predicate_spec(conjunct, self.binding, schemas, params)
-                for ok, conjunct in zip(self.spec_ok, self.conjuncts)
-                if ok]
-            cost_model = CostModel(buffer_pages=planner._buffer_pages())
-            choice = choose_access_path(
-                table, stats, specs, cost_model,
-                columnar=planner._columnar_candidate(table))
-            source = planner._choice_source(table, self.binding, choice)
-            info.access_paths.append(choice.path)
-            info.stores.append(
-                f"{self.binding}="
-                f"{'columnar' if choice.kind == 'columnar' else 'heap'}")
-            info.estimates.append({
-                "table": self.table_name, "binding": self.binding,
-                "path": choice.path,
-                "rows": round(choice.est_rows, 1),
-                "cost": round(choice.cost, 2)})
-            info.join_order = [self.binding]
-            info.estimated_rows = round(choice.est_rows, 1)
-            info.estimated_cost = round(choice.cost, 2)
-            info.cost_based = True
-            return source
-        record = getattr(table, "record_predicate", None)
-        if record is not None:
-            # Non-cost-based executions: the build-time sargable pairs
-            # are this statement's predicate sightings (the cost-based
-            # branch above records through choose_access_path instead).
-            for column, op_name in self.observed_pairs:
-                record(column, op_name)
-        if self.rule_pick is not None:
-            column, op_name, value_factory = self.rule_pick
-            index = table.index_on((column,),
-                                   require_btree=op_name != "=")
-            if index is None:
-                raise StalePlanError(self.table_name)
-            value = value_factory(params)
-            if op_name == "=":
-                info.access_paths.append(
-                    f"index_eq({table.name}.{column})")
-                info.stores.append(f"{self.binding}=heap")
-                return planner._index_source(table, columns, index,
-                                             "eq", value)
-            lo = hi = None
-            lo_inc = hi_inc = True
-            if op_name in (">", ">="):
-                lo, lo_inc = (value,), op_name == ">="
-            else:
-                hi, hi_inc = (value,), op_name == "<="
-            info.access_paths.append(
-                f"index_range({table.name}.{column})")
-            info.stores.append(f"{self.binding}=heap")
-            return planner._index_source(table, columns, index, "range",
-                                         lo=lo, hi=hi,
-                                         lo_inclusive=lo_inc,
-                                         hi_inclusive=hi_inc)
-        info.access_paths.append(f"seq_scan({self.table_name})")
-        info.stores.append(f"{self.binding}=heap")
-        snap = planner.snapshot
-        return Source(columns, lambda: table.rows(snapshot=snap),
-                      batch_factory=lambda: table.scan_batches(
-                          snapshot=snap))
+        if stats is None or (stats.row_count == 0 and table.row_count):
+            return planner._rule_source(table, self.binding, specs, info)
+        cost_model = CostModel(buffer_pages=planner._buffer_pages())
+        choice = choose_access_path(
+            table, stats, specs, cost_model,
+            columnar=planner._columnar_candidate(table))
+        source = planner._choice_source(table, self.binding, choice)
+        info.access_paths.append(choice.path)
+        info.stores.append(_store_entry(self.binding, choice))
+        info.estimates.append(
+            _estimate_entry(self.table_name, self.binding, choice))
+        info.join_order = [self.binding]
+        info.estimated_rows = round(choice.est_rows, 1)
+        info.estimated_cost = round(choice.cost, 2)
+        info.cost_based = True
+        return source
 
     def _limit_bounds(self, params: tuple) -> tuple[Optional[int], int]:
         limit = self.limit_factory(params) \
@@ -642,19 +594,7 @@ def _build_select(select: ast.SelectStatement, db) -> SelectTemplate:
     schemas = {binding: table.schema}
     spec_ok = [_conjunct_bindings(c, schemas) == {binding}
                for c in conjuncts]
-    rule_pick = None
-    observed_pairs: list[tuple[str, str]] = []
-    for conjunct in conjuncts:
-        match = _index_match(conjunct, binding)
-        if match is None:
-            continue
-        column, op_name, value_expr = match
-        observed_pairs.append((column, op_name))
-        if table.index_on((column,),
-                          require_btree=op_name != "=") is None:
-            continue
-        if rule_pick is None:
-            rule_pick = (column, op_name, _scalar_factory(value_expr))
+    matches = [_index_match(conjunct, binding) for conjunct in conjuncts]
 
     predicate_factory = compile_predicate_factory(select.where, scope) \
         if select.where is not None else None
@@ -712,7 +652,7 @@ def _build_select(select: ast.SelectStatement, db) -> SelectTemplate:
     return SelectTemplate(
         table_name=select.table.name, binding=binding,
         scope_columns=columns, where=select.where,
-        conjuncts=conjuncts, spec_ok=spec_ok, rule_pick=rule_pick,
+        conjuncts=conjuncts, spec_ok=spec_ok,
         predicate_factory=predicate_factory,
         projection_factory=projection_factory, out_columns=out_columns,
         keys=keys, hidden_factory=hidden_factory,
@@ -722,9 +662,9 @@ def _build_select(select: ast.SelectStatement, db) -> SelectTemplate:
         offset_factory=_scalar_factory(select.offset)
         if select.offset is not None else None,
         tables=(select.table.name,),
-        query_class="point" if any(op == "=" for _, op
-                                   in observed_pairs) else "analytic",
-        observed_pairs=tuple(observed_pairs))
+        query_class="point" if any(
+            match is not None and match[1] == "=" for match in matches)
+        else "analytic")
 
 
 def _build_update(statement: ast.Update, db) -> DmlTemplate:

@@ -47,7 +47,6 @@ from repro.access.operators import (
     TopK,
 )
 from repro.access.batch import batches_from_rows
-from repro.columnar import PUSHABLE_OPS
 from repro.data.transactions import Snapshot
 from repro.data.sql import ast
 from repro.data.sql.compiler import (
@@ -63,6 +62,7 @@ from repro.data.sql.optimizer import (
     ScanChoice,
     SelectivityEstimator,
     choose_access_path,
+    rule_access_path,
     order_joins,
 )
 from repro.errors import SQLPlanError
@@ -356,18 +356,22 @@ class DMLPlan:
 
     table_name: str
     access_path: str
-    cost_based: bool = False
-    est_rows: Optional[float] = None
-    est_cost: Optional[float] = None
+    #: The ``estimates`` row of a cost-based plan (write overhead
+    #: included in its cost); None when planned by rule.
+    estimate: Optional[dict] = None
     victims: Optional[Callable[[], Any]] = None
+
+    @property
+    def cost_based(self) -> bool:
+        return self.estimate is not None
 
     def as_dict(self) -> dict:
         summary = {"table": self.table_name,
                    "access_path": self.access_path,
                    "cost_based": self.cost_based}
         if self.cost_based:
-            summary.update({"estimated_rows": self.est_rows,
-                            "estimated_cost": self.est_cost})
+            summary.update({"estimated_rows": self.estimate["rows"],
+                            "estimated_cost": self.estimate["cost"]})
         return summary
 
 
@@ -442,26 +446,11 @@ class Planner:
             if table_ref.as_of is not None:
                 return self._as_of_source(table_ref, table, params, info)
             self._lock_for_read(name, table)
-            columns = [f"{binding}.{c}" for c in table.schema.names]
-            source = self._indexed_source(table, binding, columns, where,
-                                          params, info)
-            if source is not None:
-                info.stores.append(f"{binding}=heap")
-                return source
-            store = self._columnar_candidate(table)
-            if store is not None:
-                specs = self._pushable_specs(table, binding, where,
-                                             params)
-                info.access_paths.append(f"columnar_scan({name})")
-                info.stores.append(f"{binding}=columnar")
-                return self._columnar_source(table, binding, store,
-                                             specs)
-            info.access_paths.append(f"seq_scan({name})")
-            info.stores.append(f"{binding}=heap")
-            snap = self.snapshot
-            return Source(columns, lambda: table.rows(snapshot=snap),
-                          batch_factory=lambda: table.scan_batches(
-                              snapshot=snap))
+            conjuncts = _conjuncts(where) if where is not None else []
+            return self._rule_source(
+                table, binding,
+                _table_specs(conjuncts, binding, table.schema, params),
+                info)
         if name in getattr(self.catalog, "views", {}):
             if self._view_parser is None:
                 raise SQLPlanError(f"cannot expand view {name!r}")
@@ -476,45 +465,15 @@ class Planner:
                           batch_factory=lambda: rows_factory.batches())
         raise SQLPlanError(f"no table or view named {name!r}")
 
-    def _indexed_source(self, table, binding: str, columns: list[str],
-                        where: Optional[ast.Expression],
-                        params: Sequence[Any],
-                        info: PlanInfo) -> Optional[Operator]:
-        """Use an index when a WHERE conjunct matches one."""
-        if where is None:
-            return None
-        record = getattr(table, "record_predicate", None)
-        for conjunct in _conjuncts(where):
-            match = _index_match(conjunct, binding)
-            if match is None:
-                continue
-            column, op_name, value_expr = match
-            # Sighting recorded before the index-existence check: the
-            # advisor needs to see predicates on *unindexed* columns.
-            if record is not None:
-                record(column, op_name)
-            index = table.index_on((column,),
-                                   require_btree=op_name != "=")
-            if index is None:
-                continue
-            value = compile_expression(value_expr, Scope([]), params)(())
-            if op_name == "=":
-                info.access_paths.append(
-                    f"index_eq({table.name}.{column})")
-                return self._index_source(table, columns, index, "eq",
-                                          value)
-            lo = hi = None
-            lo_inc = hi_inc = True
-            if op_name in (">", ">="):
-                lo, lo_inc = (value,), op_name == ">="
-            else:
-                hi, hi_inc = (value,), op_name == "<="
-            info.access_paths.append(
-                f"index_range({table.name}.{column})")
-            return self._index_source(table, columns, index, "range",
-                                      lo=lo, hi=hi, lo_inclusive=lo_inc,
-                                      hi_inclusive=hi_inc)
-        return None
+    def _rule_source(self, table, binding: str, specs: list,
+                     info: PlanInfo) -> Operator:
+        """Leaf for a table without usable statistics, shared with the
+        plan cache's templates so both report the same path."""
+        choice = rule_access_path(
+            table, specs, columnar=self._columnar_candidate(table))
+        info.access_paths.append(choice.path)
+        info.stores.append(_store_entry(binding, choice))
+        return self._choice_source(table, binding, choice)
 
     def _index_source(self, table, columns: list[str], index, kind: str,
                       value: Any = None, lo: Optional[tuple] = None,
@@ -597,23 +556,6 @@ class Planner:
         if store is None or not store.mirror_valid(table):
             return None
         return store
-
-    def _pushable_specs(self, table, binding: str,
-                        where: Optional[ast.Expression],
-                        params: Sequence[Any]) -> tuple:
-        """WHERE conjuncts of this binding the columnar scan can
-        evaluate on encoded data (zone-map skip + pre-decode filter).
-        The full residual predicate still runs above the source, so a
-        conjunct left out costs nothing but decode time."""
-        if where is None:
-            return ()
-        schemas = {binding: table.schema}
-        specs = []
-        for conjunct in _conjuncts(where):
-            spec = _predicate_spec(conjunct, binding, schemas, params)
-            if spec.column and spec.op in PUSHABLE_OPS:
-                specs.append(spec)
-        return tuple(specs)
 
     def _columnar_source(self, table, binding: str, store,
                          specs: tuple) -> Source:
@@ -932,14 +874,9 @@ class Planner:
                                 batch_predicate=predicate.batch,
                                 rows_predicate=predicate.rows)
             info.access_paths.append(choice.path)
-            info.stores.append(
-                f"{ref.binding}="
-                f"{'columnar' if choice.kind == 'columnar' else 'heap'}")
-            info.estimates.append({
-                "table": ref.name, "binding": ref.binding,
-                "path": choice.path,
-                "rows": round(choice.est_rows, 1),
-                "cost": round(choice.cost, 2)})
+            info.stores.append(_store_entry(ref.binding, choice))
+            info.estimates.append(
+                _estimate_entry(ref.name, ref.binding, choice))
             total_cost += choice.cost
             relations.append((ref.binding, source, choice))
 
@@ -1007,18 +944,14 @@ class Planner:
                                   snapshot=snap))
             return self._columnar_source(table, binding, store,
                                          choice.specs)
-        index = table.index_on((choice.column,),
+        interval = choice.interval
+        index = table.index_on((interval.column,),
                                require_btree=choice.kind == "index_range")
         if choice.kind == "index_eq":
             return self._index_source(table, columns, index, "eq",
-                                      choice.value)
-        lo = (choice.low[0],) if choice.low is not None else None
-        lo_inc = choice.low[1] if choice.low is not None else True
-        hi = (choice.high[0],) if choice.high is not None else None
-        hi_inc = choice.high[1] if choice.high is not None else True
+                                      interval.value)
         return self._index_source(table, columns, index, "range",
-                                  lo=lo, hi=hi, lo_inclusive=lo_inc,
-                                  hi_inclusive=hi_inc)
+                                  **_range_bounds(interval))
 
     # -- DML victim selection ---------------------------------------------------------
 
@@ -1030,15 +963,12 @@ class Planner:
         With ANALYZE statistics the cost model chooses between a heap
         scan and the matching index probes (same machinery as SELECT,
         plus the per-victim write overhead); without statistics the
-        first conjunct matching an index drives a rule-based probe, and
-        a statement with no usable conjunct falls back to the seq scan
-        DML always used before.
+        first interval an index can serve drives a rule-based probe,
+        and a statement with no usable conjunct falls back to the seq
+        scan DML always used before.
         """
         table = self.catalog.table(table_name)
-        snap = self.snapshot
-        seq_victims = lambda: table.scan(snapshot=snap)  # noqa: E731
         conjuncts = _conjuncts(where) if where is not None else []
-
         stats_for = getattr(self.catalog, "stats_for", None)
         stats = stats_for(table_name) if stats_for is not None else None
         if stats is not None and not (stats.row_count == 0
@@ -1054,63 +984,29 @@ class Planner:
                     specs.append(PredicateSpec("", "other"))
             cost_model = CostModel(buffer_pages=self._buffer_pages())
             choice = choose_access_path(table, stats, specs, cost_model)
-            plan = DMLPlan(
-                table_name, choice.path, cost_based=True,
-                est_rows=round(choice.est_rows, 1),
-                est_cost=round(
-                    choice.cost + cost_model.dml_overhead(choice.est_rows),
-                    2))
-            if choice.kind == "seq":
-                plan.victims = seq_victims
-            elif choice.kind == "index_eq":
-                index = table.index_on((choice.column,))
-                plan.victims = self._dml_index_victims(
-                    table, index, "eq", value=choice.value)
-            else:
-                index = table.index_on((choice.column,),
-                                       require_btree=True)
-                lo = (choice.low[0],) if choice.low is not None else None
-                lo_inc = choice.low[1] if choice.low is not None else True
-                hi = (choice.high[0],) \
-                    if choice.high is not None else None
-                hi_inc = choice.high[1] \
-                    if choice.high is not None else True
-                plan.victims = self._dml_index_victims(
-                    table, index, "range", lo=lo, hi=hi,
-                    lo_inclusive=lo_inc, hi_inclusive=hi_inc)
+            estimate = _estimate_entry(table_name, table_name, choice)
+            estimate["cost"] = round(
+                choice.cost + cost_model.dml_overhead(choice.est_rows), 2)
+            plan = DMLPlan(table_name, choice.path, estimate)
+        else:
+            choice = rule_access_path(
+                table, _table_specs(conjuncts, table_name, table.schema,
+                                    params))
+            plan = DMLPlan(table_name, choice.path)
+        if choice.kind == "seq":
+            snap = self.snapshot
+            plan.victims = lambda: table.scan(snapshot=snap)
             return plan
-
-        record = getattr(table, "record_predicate", None)
-        for conjunct in conjuncts:
-            match = _index_match(conjunct, table_name)
-            if match is None:
-                continue
-            column, op_name, value_expr = match
-            if record is not None:
-                record(column, op_name)
-            index = table.index_on((column,),
-                                   require_btree=op_name != "=")
-            if index is None:
-                continue
-            value = compile_expression(value_expr, Scope([]), params)(())
-            if op_name == "=":
-                return DMLPlan(
-                    table_name, f"index_eq({table.name}.{column})",
-                    victims=self._dml_index_victims(table, index, "eq",
-                                                    value=value))
-            lo = hi = None
-            lo_inc = hi_inc = True
-            if op_name in (">", ">="):
-                lo, lo_inc = (value,), op_name == ">="
-            else:
-                hi, hi_inc = (value,), op_name == "<="
-            return DMLPlan(
-                table_name, f"index_range({table.name}.{column})",
-                victims=self._dml_index_victims(
-                    table, index, "range", lo=lo, hi=hi,
-                    lo_inclusive=lo_inc, hi_inclusive=hi_inc))
-        return DMLPlan(table_name, f"seq_scan({table_name})",
-                       victims=seq_victims)
+        interval = choice.interval
+        index = table.index_on((interval.column,),
+                               require_btree=choice.kind == "index_range")
+        if choice.kind == "index_eq":
+            plan.victims = self._dml_index_victims(
+                table, index, "eq", value=interval.value)
+        else:
+            plan.victims = self._dml_index_victims(
+                table, index, "range", **_range_bounds(interval))
+        return plan
 
     def _dml_index_victims(self, table, index, kind: str,
                            value: Any = None, lo: Optional[tuple] = None,
@@ -1479,9 +1375,63 @@ def _conjunct_bindings(conjunct: ast.Expression,
     return owners
 
 
+def _table_specs(conjuncts: list, binding: str, schema,
+                 params: Sequence[Any]) -> list[PredicateSpec]:
+    """Estimator-form specs of the conjuncts that reference only
+    ``binding``'s columns."""
+    schemas = {binding: schema}
+    return [_predicate_spec(conjunct, binding, schemas, params)
+            for conjunct in conjuncts
+            if _conjunct_bindings(conjunct, schemas) == {binding}]
+
+
+def _range_bounds(interval: PredicateSpec) -> dict:
+    """``_index_source``/``_dml_index_victims`` keyword arguments that
+    walk exactly ``interval``."""
+    low, high = interval.bounds()
+    return {"lo": (low[0],) if low is not None else None,
+            "lo_inclusive": low[1] if low is not None else True,
+            "hi": (high[0],) if high is not None else None,
+            "hi_inclusive": high[1] if high is not None else True}
+
+
+def _store_entry(binding: str, choice: ScanChoice) -> str:
+    return f"{binding}=" \
+        f"{'columnar' if choice.kind == 'columnar' else 'heap'}"
+
+
+def _estimate_entry(table_name: str, binding: str,
+                    choice: ScanChoice) -> dict:
+    """One ``PlanInfo.estimates`` row.  Index paths also report the
+    folded interval probed and the heap-order correlation its fetches
+    were priced with."""
+    entry = {"table": table_name, "binding": binding,
+             "path": choice.path,
+             "rows": round(choice.est_rows, 1),
+             "cost": round(choice.cost, 2)}
+    if choice.interval is not None:
+        entry["interval"] = choice.interval.describe()
+        entry["correlation"] = round(choice.correlation, 2)
+    return entry
+
+
+def explain_estimate(entry: dict) -> str:
+    """EXPLAIN's ``estimate`` detail for one estimates row."""
+    text = f"{entry['binding']}: rows={entry['rows']} cost={entry['cost']}"
+    if "interval" in entry:
+        text += f" interval=[{entry['interval']}] " \
+                f"correlation={entry['correlation']}"
+    return text
+
+
 def _constant_value(expr: ast.Expression,
                     params: Sequence[Any]) -> tuple[bool, Any]:
-    if isinstance(expr, (ast.Literal, ast.Param)):
+    if isinstance(expr, ast.Literal):
+        return True, expr.value
+    if isinstance(expr, ast.Param):
+        if expr.index < len(params):
+            return True, params[expr.index]
+        # Out of range: let the compiler raise its usual error.
         return True, compile_expression(expr, Scope([]), params)(())
     return False, None
 

@@ -2,7 +2,8 @@
 
 ``ANALYZE`` scans a table once and distils it into a :class:`TableStats`:
 row and page counts plus, per column, null fraction, distinct-value
-count, min/max, and a small equi-depth histogram.  The planner's
+count, min/max, a small equi-depth histogram, and the correlation
+between value order and heap order.  The planner's
 selectivity estimator (:mod:`repro.data.sql.optimizer`) reads these to
 predict how many rows a predicate keeps and how large a join result
 gets; the catalog persists them alongside the schema so estimates
@@ -15,6 +16,7 @@ cheap to keep, refreshed explicitly.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -25,9 +27,10 @@ from typing import Any, Optional
 HISTOGRAM_BOUNDS = 17
 
 
-def _orderable(values: list) -> bool:
-    """True when the sampled values share one comparable, JSON-safe type
-    (the catalog persists histograms as JSON)."""
+def orderable(values: list) -> bool:
+    """True when the values share one comparable, JSON-safe type (the
+    catalog persists histograms as JSON).  ``bool`` is its own kind:
+    Python orders it with the numbers, the index key codec does not."""
     kinds = {type(v) for v in values}
     if not kinds:
         return False
@@ -48,6 +51,10 @@ class ColumnStats:
     #: histogram[-1] the max, with (roughly) equal row counts between
     #: consecutive boundaries.  Empty when the column is unorderable.
     histogram: list = field(default_factory=list)
+    #: Rank correlation between value order and heap scan order as of
+    #: the last ANALYZE: ±1 when rows sit on disk in key order (a range
+    #: of keys is a run of pages), 0 when scattered (one page per row).
+    correlation: float = 0.0
 
     # -- selectivity ------------------------------------------------------
 
@@ -101,10 +108,15 @@ class ColumnStats:
                                                  inclusive=op == ">")
         return max(0.0, min(1.0, fraction)) * not_null
 
-    def between_selectivity(self, low: Any, high: Any) -> float:
+    def between_selectivity(self, low: Any, high: Any,
+                            low_inclusive: bool = True,
+                            high_inclusive: bool = True) -> float:
+        """Selectivity of one interval: the two bounds are dependent
+        events on one column, so the fractions subtract (crossed
+        bounds keep nothing)."""
         not_null = 1.0 - self.null_fraction
-        fraction = self.fraction_below(high, inclusive=True) - \
-            self.fraction_below(low, inclusive=False)
+        fraction = self.fraction_below(high, inclusive=high_inclusive) - \
+            self.fraction_below(low, inclusive=not low_inclusive)
         return max(0.0, min(1.0, fraction)) * not_null
 
     # -- persistence ------------------------------------------------------
@@ -113,14 +125,16 @@ class ColumnStats:
         return {"null_fraction": self.null_fraction,
                 "n_distinct": self.n_distinct,
                 "min": self.minimum, "max": self.maximum,
-                "histogram": list(self.histogram)}
+                "histogram": list(self.histogram),
+                "correlation": self.correlation}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ColumnStats":
         return cls(data.get("null_fraction", 0.0),
                    data.get("n_distinct", 0),
                    data.get("min"), data.get("max"),
-                   list(data.get("histogram", ())))
+                   list(data.get("histogram", ())),
+                   data.get("correlation", 0.0))
 
 
 @dataclass
@@ -157,6 +171,34 @@ def build_histogram(values: list, bounds: int = HISTOGRAM_BOUNDS) -> list:
     return [values[round(i * step)] for i in range(bounds)]
 
 
+def order_correlation(order: list[int], values: list) -> float:
+    """Pearson correlation between heap position and value rank.
+
+    ``order`` is the stable argsort of ``values`` (which are in heap
+    scan order); equal values share their mean rank, so a two-valued
+    column scattered over the heap reads as 0, not as half-sorted.
+    """
+    count = len(order)
+    if count < 2:
+        return 0.0
+    mean = (count - 1) / 2.0
+    covariance = rank_variance = 0.0
+    start = 0
+    while start < count:
+        end = start + 1
+        value = values[order[start]]
+        while end < count and values[order[end]] == value:
+            end += 1
+        rank = (start + end - 1) / 2.0 - mean
+        covariance += rank * (sum(order[start:end]) - (end - start) * mean)
+        rank_variance += rank * rank * (end - start)
+        start = end
+    position_variance = count * (count * count - 1) / 12.0
+    if rank_variance <= 0.0:
+        return 0.0
+    return covariance / math.sqrt(rank_variance * position_variance)
+
+
 def collect_table_stats(table) -> TableStats:
     """Scan ``table`` once and summarise it (the ANALYZE workhorse)."""
     names = list(table.schema.names)
@@ -177,8 +219,10 @@ def collect_table_stats(table) -> TableStats:
         column = ColumnStats(
             null_fraction=(nulls[i] / rows) if rows else 0.0,
             n_distinct=len(set(values)))
-        if values and _orderable(values):
-            values.sort()
+        if values and orderable(values):
+            order = sorted(range(len(values)), key=values.__getitem__)
+            column.correlation = order_correlation(order, values)
+            values = [values[j] for j in order]
             column.minimum = values[0]
             column.maximum = values[-1]
             column.histogram = build_histogram(values)

@@ -393,12 +393,12 @@ class TestKnobAdaptationEngine:
 # -- the index advisor -------------------------------------------------------------
 
 
-def seeded_db(rows=400, groups=100):
+def seeded_db(rows=400, groups=100, val=float):
     db = Database()
     db.execute("CREATE TABLE items (id INT PRIMARY KEY, grp INT, "
                "val FLOAT)")
     db.executemany("INSERT INTO items VALUES (?, ?, ?)",
-                   [(i, i % groups, float(i)) for i in range(rows)])
+                   [(i, i % groups, val(i)) for i in range(rows)])
     return db
 
 
@@ -478,6 +478,29 @@ class TestIndexAdvisor:
         db.execute("CREATE INDEX ix_grp ON items (grp)")
         advisor = IndexAdvisor(db, confirm=1, cooldown=0)
         assert advisor.consider(self.hot_window()) == []
+        db.close()
+
+    def range_window(self, sightings=20):
+        return window(tables={"items": TableActivity(
+            predicates={("val", ">"): sightings,
+                        ("val", "<"): sightings})})
+
+    def test_range_sightings_index_a_clustered_column(self):
+        # val rises with heap order: a range of it is a run of pages.
+        db = seeded_db(rows=2000)
+        advisor = IndexAdvisor(db, confirm=1, cooldown=0)
+        (action,) = advisor.consider(self.range_window())
+        assert action["index"] == "adaptive_ix_items_val"
+        assert "correlation=1.00" in action["trigger"]
+        db.close()
+
+    def test_range_sightings_skip_a_shuffled_column(self):
+        # The same values scattered over the heap: one page per match,
+        # so the planner would never walk the index for a range.
+        db = seeded_db(rows=2000, val=lambda i: float(i * 149 % 2000))
+        advisor = IndexAdvisor(db, confirm=1, cooldown=0)
+        assert advisor.consider(self.range_window()) == []
+        assert advisor.created == {}
         db.close()
 
 

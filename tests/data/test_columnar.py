@@ -97,6 +97,17 @@ class TestZoneMap:
         zone = ZoneMap.build(["a", "b"])
         assert zone.admits("<", 5)      # TypeError => cannot exclude
 
+    def test_row_test_honours_interval_inclusivity(self):
+        from repro.columnar.store import spec_test
+        closed = spec_test("between", low=1, high=3)
+        half_open = spec_test("between", low=1, high=3,
+                              low_inclusive=False)
+        assert [closed(v) for v in (0, 1, 3, 4, None)] == \
+            [False, True, True, False, False]
+        assert [half_open(v) for v in (1, 2, 3)] == [False, True, True]
+        never = spec_test("between", low=None, high=None)
+        assert not any(never(v) for v in (None, 0, 1))
+
 
 # -- migration, pacing, EXPLAIN ----------------------------------------------
 
@@ -243,7 +254,8 @@ class TestExplainStores:
 
 
 class TestZoneMapSkipping:
-    def test_blocks_outside_predicate_range_are_skipped(self):
+    @pytest.fixture(scope="class")
+    def big(self):
         db = Database(mirror_min_rows=16)
         db.execute("CREATE TABLE big (id INT PRIMARY KEY, v INT)")
         n = 3 * BLOCK_ROWS
@@ -253,15 +265,41 @@ class TestZoneMapSkipping:
                 [(i, i) for i in range(lo, min(lo + 1000, n))])
         db.vacuum(aggressive=True)
         db.execute("ANALYZE big")
+        return db
+
+    def test_blocks_outside_predicate_range_are_skipped(self, big):
         # v rides insertion order, so each block's zone covers a
         # disjoint range; a narrow BETWEEN admits exactly one block.
-        result = db.execute(
+        result = big.execute(
             "SELECT COUNT(*) FROM big WHERE v BETWEEN 10 AND 20")
         assert result.rows == [(11,)]
         assert any("columnar" in p for p in result.plan["access_paths"])
-        col = db.stats()["columnar"]
+        col = big.stats()["columnar"]
         assert col["blocks_skipped"] >= 2
         assert col["blocks_scanned"] >= 1
+
+    @pytest.mark.parametrize("where, first, last", [
+        ("v >= ? AND v < ?", 0, -1),            # half-open
+        ("v >= ? AND v <= ?", 0, 0),            # closed
+        ("v > ? AND v <= ?", 1, 0),             # mixed
+        ("v > ? AND v < ?", 1, -1),             # open
+        ("v BETWEEN ? AND ? AND v < ?", 0, -1),  # BETWEEN, then tightened
+    ])
+    def test_folded_intervals_keep_their_inclusivity(
+            self, big, where, first, last):
+        """Two bounds on one column reach the mirror as one interval:
+        the rows are exactly the heap's, bound rows included or not as
+        written, and the other blocks are still skipped."""
+        low, high = BLOCK_ROWS + 5, BLOCK_ROWS + 25
+        params = (low, high, high) if "BETWEEN" in where else (low, high)
+        before = big.stats()["columnar"]
+        result = big.execute(f"SELECT v FROM big WHERE {where}", params)
+        assert result.plan["access_paths"] == ["columnar_scan(big)"]
+        assert sorted(row[0] for row in result.rows) == \
+            list(range(low + first, high + last + 1))
+        after = big.stats()["columnar"]
+        assert after["blocks_skipped"] - before["blocks_skipped"] == 2
+        assert after["blocks_scanned"] - before["blocks_scanned"] == 1
 
 
 # -- heap equivalence over the SQL battery ------------------------------------

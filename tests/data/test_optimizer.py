@@ -9,7 +9,9 @@ from repro.data.sql.optimizer import (
     JoinEdge,
     SelectivityEstimator,
     PredicateSpec,
+    fold_intervals,
     order_joins,
+    rule_access_path,
 )
 from repro.data.sql.stats import ColumnStats, TableStats, build_histogram
 from repro.storage import MemoryDevice
@@ -212,12 +214,15 @@ class TestJoinOrdering:
 
 class TestPlanChoice:
     def test_selective_predicate_flips_to_index_after_analyze(self, db):
-        """The ISSUE's acceptance scenario: BETWEEN is invisible to the
-        rule-based planner, but the cost-based one indexes it."""
+        """Before ANALYZE the first indexable interval drives a
+        rule-based probe (BETWEEN is an interval like any other);
+        afterwards the same path carries estimates."""
         fill(db)
         before = db.execute(
-            "EXPLAIN SELECT * FROM fact WHERE id BETWEEN 10 AND 14")
-        assert ("access_path", "seq_scan(fact)") in before.rows
+            "EXPLAIN SELECT * FROM fact WHERE v < 400 "
+            "AND id BETWEEN 10 AND 14")
+        assert ("access_path", "index_range(fact.id)") in before.rows
+        assert before.plan["cost_based"] is False
         db.execute("ANALYZE")
         after = db.execute(
             "EXPLAIN SELECT * FROM fact WHERE id BETWEEN 10 AND 14")
@@ -389,3 +394,377 @@ class TestRegressions:
             "WHERE fact.v < 3 AND dim_small.name = 's1'")
         assert result.plan["cost_based"] is True
         assert result.rows == [(1,)]
+
+
+# ---------------------------------------------------------------------------
+# interval folding and clustering-aware index pricing
+# ---------------------------------------------------------------------------
+
+
+def spec_range(column, low, high, low_inclusive=False,
+               high_inclusive=False):
+    return PredicateSpec(column, "between", low=low, high=high,
+                         low_inclusive=low_inclusive,
+                         high_inclusive=high_inclusive)
+
+
+class TestIntervalFolding:
+    def test_two_bounds_fold_to_one_open_interval(self):
+        specs = [PredicateSpec("id", ">", 10), PredicateSpec("v", "=", 1),
+                 PredicateSpec("id", "<", 20)]
+        assert fold_intervals(specs) == [spec_range("id", 10, 20),
+                                         PredicateSpec("v", "=", 1)]
+
+    def test_single_bounds_pass_through_untouched(self):
+        specs = [PredicateSpec("id", ">", 10), PredicateSpec("v", "<", 3)]
+        assert fold_intervals(specs) is specs
+
+    def test_tightest_bound_and_inclusivity_win(self):
+        specs = [PredicateSpec("id", ">=", 5), PredicateSpec("id", ">", 5),
+                 PredicateSpec("id", "between", low=0, high=9),
+                 PredicateSpec("id", "<=", 9)]
+        assert fold_intervals(specs) == [
+            spec_range("id", 5, 9, high_inclusive=True)]
+        assert fold_intervals([PredicateSpec("id", ">", 3),
+                               PredicateSpec("id", ">=", 8)]) == \
+            [PredicateSpec("id", ">=", 8)]
+
+    def test_equality_with_compatible_bound_is_the_point(self):
+        assert fold_intervals([PredicateSpec("id", "=", 7),
+                               PredicateSpec("id", "<", 10)]) == \
+            [PredicateSpec("id", "=", 7)]
+
+    @pytest.mark.parametrize("specs", [
+        [PredicateSpec("id", ">", 5), PredicateSpec("id", "<", 3)],
+        [PredicateSpec("id", "=", 7), PredicateSpec("id", "<", 3)],
+        [PredicateSpec("id", "=", 7), PredicateSpec("id", "=", 8)],
+        [PredicateSpec("id", ">", 5), PredicateSpec("id", "<=", 5)],
+        [PredicateSpec("id", ">", None), PredicateSpec("id", "<", 3)],
+    ])
+    def test_empty_intervals_estimate_zero_rows(self, specs):
+        (folded,) = fold_intervals(specs)
+        assert folded.describe() == "id empty"
+        stats = TableStats(100, 4, {"id": ColumnStats(
+            n_distinct=100, minimum=0, maximum=99,
+            histogram=build_histogram(list(range(100))))})
+        assert SelectivityEstimator(stats).combined([folded]) == 0.0
+        assert SelectivityEstimator(None).combined([folded]) == 0.0
+
+    @pytest.mark.parametrize("other", ["x", True, 1.5])
+    def test_unordered_bound_types_stay_unfolded(self, other):
+        specs = [PredicateSpec("id", ">", 1), PredicateSpec("id", "<", other)]
+        folded = fold_intervals(specs)
+        if isinstance(other, float):      # int and float share an order
+            assert folded == [spec_range("id", 1, 1.5)]
+        else:
+            assert folded == specs
+
+    @pytest.mark.parametrize("where, params, expected", [
+        ("id > ? AND id < ?", (5, 3), []),
+        ("id = ? AND id < ?", (7, 3), []),
+        ("id = ? AND id < ?", (7, 30), [7]),
+        ("id > ? AND id < ?", (None, 30), []),
+        ("id >= ? AND id <= ?", (7, 7), [7]),
+        ("id > ? AND id < ?", (1, "x"), TypeError),
+        ("id > ? AND id <= ?", (0, True), [1]),
+        ("id > 10 AND id BETWEEN 5 AND 12 AND id <= 11", (), [11]),
+    ])
+    @pytest.mark.parametrize("analyzed", [False, True])
+    def test_edge_intervals_answer_like_the_heap_scan(
+            self, db, where, params, expected, analyzed):
+        fill(db, n_rows=40)
+        if analyzed:
+            db.execute("ANALYZE")
+        sql = f"SELECT id FROM fact WHERE {where} ORDER BY id"
+        if expected is TypeError:
+            # The residual WHERE compares int with text, as it always
+            # did; planning itself must not be what raises.
+            explained = db.execute("EXPLAIN " + sql, params)
+            assert any(kind == "access_path" for kind, _
+                       in explained.rows)
+            return
+        assert [row[0] for row in db.execute(sql, params).rows] \
+            == expected
+        if analyzed and not expected:
+            explained = db.execute("EXPLAIN " + sql, params)
+            assert explained.plan["estimated_rows"] == 0.0
+
+
+class TestCorrelation:
+    def test_analyze_records_heap_order_correlation(self, db):
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, up INT, "
+                   "down INT, mixed INT, flag INT)")
+        db.executemany(
+            "INSERT INTO t VALUES (?, ?, ?, ?, ?)",
+            [(i, i // 3, -i, i * 7919 % 1000, i * 7919 % 2)
+             for i in range(1000)])
+        db.execute("ANALYZE t")
+        columns = db.catalog.stats_for("t").columns
+        assert columns["id"].correlation == pytest.approx(1.0)
+        assert columns["up"].correlation == pytest.approx(1.0, abs=1e-3)
+        assert columns["down"].correlation == pytest.approx(-1.0)
+        assert abs(columns["mixed"].correlation) < 0.1
+        # Two scattered values: ties share a rank, so no false order.
+        assert abs(columns["flag"].correlation) < 0.1
+
+    def test_stats_without_correlation_price_as_before(self):
+        old = ColumnStats(0.0, 100, 0, 99, list(range(100))).to_dict()
+        del old["correlation"]
+        assert ColumnStats.from_dict(old).correlation == 0.0
+        model = CostModel(buffer_pages=10)
+        probe = model._btree_height(10_000) * model.random_page_cost
+        assert model.index_scan(100, 10_000, 50) == pytest.approx(
+            probe + 50 * model.random_page_cost
+            + 50 * model.cpu_tuple_cost)
+
+    def test_clustered_matches_cost_a_run_of_pages(self):
+        model = CostModel(buffer_pages=10)
+        scattered = model.index_scan(100, 10_000, 50)
+        clustered = model.index_scan(100, 10_000, 50, 1.0)
+        reverse = model.index_scan(100, 10_000, 50, -1.0)
+        half = model.index_scan(100, 10_000, 50, 0.5)
+        assert clustered == reverse < half < scattered
+        probe = model._btree_height(10_000) * model.random_page_cost
+        # 50 of 10 000 rows over 100 pages: half a page, plus the one
+        # the run starts in.
+        assert clustered == pytest.approx(
+            probe + 1.5 * model.random_page_cost
+            + 50 * model.cpu_tuple_cost)
+        # A single match never costs more than its one page.
+        assert model.index_scan(100, 10_000, 1, 1.0) == \
+            model.index_scan(100, 10_000, 1)
+
+    def test_correlation_survives_reopen(self):
+        device, wal = MemoryDevice(), MemoryDevice()
+        db = Database(device=device, wal_device=wal)
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        db.executemany("INSERT INTO t VALUES (?, ?)",
+                       [(i, -i) for i in range(50)])
+        db.execute("ANALYZE t")
+        db.checkpoint()
+        reopened = Database(device=device, wal_device=wal)
+        assert reopened.catalog.stats_for("t").columns["v"].correlation \
+            == pytest.approx(-1.0)
+
+
+def true_count(values, low, high, low_inclusive, high_inclusive):
+    return sum(1 for v in values
+               if (v >= low if low_inclusive else v > low)
+               and (v <= high if high_inclusive else v < high))
+
+
+class TestIntervalEstimates:
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_random_intervals_within_q_error_two(self, seed):
+        """Seeded property: a two-sided interval estimates within 2x of
+        the true count — on a uniform column down to 20 rows of 4000
+        (the independence product this replaces was ~50x off there),
+        on a skewed one down to one histogram bucket's depth."""
+        import random
+        rng = random.Random(seed)
+        n = 4000
+        columns = {
+            "uniform": [rng.randrange(10_000) for _ in range(n)],
+            "skewed": [int(rng.random() ** 3 * 10_000) for _ in range(n)],
+        }
+        floor = {"uniform": n // 200, "skewed": n // 16}
+        stats = TableStats(n, 40)
+        for name, values in columns.items():
+            ordered = sorted(values)
+            stats.columns[name] = ColumnStats(
+                n_distinct=len(set(values)), minimum=ordered[0],
+                maximum=ordered[-1], histogram=build_histogram(ordered))
+        estimator = SelectivityEstimator(stats)
+        checked = 0
+        for _ in range(300):
+            name = rng.choice(sorted(columns))
+            values = columns[name]
+            low = rng.choice(values)
+            high = low + rng.randrange(1, 3000) if name == "uniform" \
+                else rng.choice(values)
+            low, high = sorted((low, high))
+            low_inc, high_inc = rng.random() < 0.5, rng.random() < 0.5
+            actual = true_count(values, low, high, low_inc, high_inc)
+            if low == high or actual < floor[name]:
+                continue
+            specs = fold_intervals([
+                PredicateSpec(name, ">=" if low_inc else ">", low),
+                PredicateSpec(name, "<=" if high_inc else "<", high)])
+            estimate = max(n * estimator.combined(specs), 1.0)
+            assert max(estimate / actual, actual / estimate) <= 2.0, \
+                (name, low, high, low_inc, high_inc, actual, estimate)
+            checked += 1
+        assert checked > 100
+
+
+def load_keyed(db, order):
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, pad TEXT)")
+    db.execute("BEGIN")
+    db.executemany("INSERT INTO t VALUES (?, ?)",
+                   [(i, "x" * 60) for i in order])
+    db.execute("COMMIT")
+    db.execute("ANALYZE t")
+
+
+class TestClusteringAwareChoice:
+    RANGE = "SELECT id FROM t WHERE id > ? AND id < ?"
+
+    def test_key_order_vs_shuffled_on_a_small_pool(self):
+        """The same rows and the same 300-row range: walking the index
+        is a handful of pages when the heap is in key order and one
+        page per row when it is shuffled, so on a pool smaller than
+        the table only the first beats the scan."""
+        import random
+        keys = list(range(3000))
+        ordered = Database(buffer_capacity=8)
+        load_keyed(ordered, keys)
+        random.Random(5).shuffle(keys)
+        shuffled = Database(buffer_capacity=8)
+        load_keyed(shuffled, keys)
+        assert ordered.catalog.stats_for("t").page_count > 8
+        plans = {}
+        for name, db in (("ordered", ordered), ("shuffled", shuffled)):
+            result = db.execute(self.RANGE, (1000, 1301))
+            assert len(result.rows) == 300
+            plans[name] = result.plan["access_paths"]
+        assert plans == {"ordered": ["index_range(t.id)"],
+                         "shuffled": ["seq_scan(t)"]}
+
+    @pytest.mark.parametrize("analyzed", [False, True])
+    def test_dml_ranges_walk_the_index_between_both_bounds(
+            self, db, analyzed, monkeypatch):
+        from repro.data.table import TableIndex
+        fill(db, n_rows=300)
+        if analyzed:
+            db.execute("ANALYZE")
+        walked = []
+        original = TableIndex.range_scan
+
+        def spy(self, lo, hi, lo_inclusive=True, hi_inclusive=False):
+            walked.append((lo, hi, lo_inclusive, hi_inclusive))
+            return original(self, lo, hi, lo_inclusive, hi_inclusive)
+
+        monkeypatch.setattr(TableIndex, "range_scan", spy)
+        for sql in ("UPDATE fact SET v = v + 1 WHERE id > ? AND id < ?",
+                    "DELETE FROM fact WHERE id > ? AND id < ?"):
+            explained = db.execute("EXPLAIN " + sql, (100, 111))
+            assert ("access_path", "index_range(fact.id)") \
+                in explained.rows
+            assert db.execute(sql, (100, 111)).affected == 10
+        assert walked == [((100,), (111,), False, False)] * 2
+        assert db.query("SELECT COUNT(*) FROM fact") == [(290,)]
+
+
+class TestRuleBasedInterval:
+    SQL = "SELECT id FROM fact WHERE id > ? AND id <= ?"
+
+    def test_rule_path_takes_both_bounds(self, db):
+        fill(db, n_rows=50)
+        table = db.catalog.table("fact")
+        choice = rule_access_path(table, [PredicateSpec("v", "<", 9),
+                                          PredicateSpec("id", ">", 10),
+                                          PredicateSpec("id", "<=", 20)])
+        assert choice.path == "index_range(fact.id)"
+        assert choice.interval == spec_range("id", 10, 20,
+                                             high_inclusive=True)
+
+    def test_cached_and_uncached_report_the_same_plan(self, db):
+        from repro.data.sql.parser import parse
+        fill(db, n_rows=50)
+        miss = db.execute(self.SQL, (10, 20))
+        hit = db.execute(self.SQL, (10, 20))
+        uncached = db.execute_statement(parse(self.SQL), (10, 20))
+        assert (miss.plan["cached"], hit.plan["cached"]) == ("miss", "hit")
+        assert "cached" not in uncached.plan
+        for result in (miss, hit):
+            result.plan.pop("cached")
+            assert result.plan == uncached.plan
+            assert result.rows == uncached.rows
+        assert uncached.plan["access_paths"] == ["index_range(fact.id)"]
+        assert [row[0] for row in uncached.rows] == list(range(11, 21))
+
+
+# ---------------------------------------------------------------------------
+# the perf ledger's statement shapes, pinned
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def ledger_items():
+    """``items`` at the ledger's out-of-core shape: 6000 rows loaded in
+    key order behind a 20-frame pool, ANALYZEd, no VACUUM (so no
+    columnar mirror).  Statement texts are copies of the ledger's."""
+    import random
+    rng = random.Random(7)
+    db = Database(buffer_capacity=20)
+    db.execute("CREATE TABLE items (id INT PRIMARY KEY, grp INT NOT NULL, "
+               "label TEXT NOT NULL, value FLOAT)")
+    rows = [(i, rng.randrange(50), "abcdefgh",
+             round(rng.uniform(0, 1000), 2)) for i in range(6000)]
+    for start in range(0, len(rows), 1000):
+        db.execute("BEGIN")
+        db.executemany("INSERT INTO items VALUES (?, ?, ?, ?)",
+                       rows[start:start + 1000])
+        db.execute("COMMIT")
+    db.execute("ANALYZE")
+    yield db
+    db.close()
+
+
+class TestLedgerPlans:
+    """An access-path flip on a ledger shape should be a failing test
+    with a readable diff, not a surprise in the next ledger run."""
+
+    RANGE = "SELECT id, value FROM items WHERE id > ? AND id < ?"
+    SHAPES = [
+        ("point", "SELECT * FROM items WHERE id = ?", (4321,),
+         "index_eq(items.id)"),
+        ("range", RANGE, (2000, 2051), "index_range(items.id)"),
+        ("secondary", "SELECT * FROM items WHERE grp = ?", (17,),
+         "seq_scan(items)"),
+        ("topk", "SELECT * FROM items WHERE grp = ? "
+                 "ORDER BY value DESC, id LIMIT 10", (17,),
+         "seq_scan(items)"),
+        ("filt_agg", "SELECT COUNT(*), SUM(value) FROM items "
+                     "WHERE value > ? AND grp < ?", (500.0, 25),
+         "seq_scan(items)"),
+        ("update", "UPDATE items SET value = value + 1 WHERE id = ?",
+         (4321,), "index_eq(items.id)"),
+    ]
+
+    def test_access_path_per_shape(self, ledger_items):
+        paths = {
+            kind: [detail for row_kind, detail
+                   in ledger_items.execute("EXPLAIN " + sql, params).rows
+                   if row_kind == "access_path"]
+            for kind, sql, params, _ in self.SHAPES}
+        assert paths == {kind: [path] for kind, _, _, path in self.SHAPES}
+
+    def test_range_plan_is_the_same_on_hit_miss_and_bypass(
+            self, ledger_items):
+        from repro.data.sql.parser import parse
+        db = ledger_items
+        params = (3000, 3051)
+        db._plan_cache.clear()
+        miss = db.execute(self.RANGE, params)
+        hit = db.execute(self.RANGE, params)
+        uncached = db.execute_statement(parse(self.RANGE), params)
+        bypass = db.execute("SELECT COUNT(*) FROM items "
+                            "WHERE id > ? AND id < ?", params)
+        assert [r.plan.get("cached") for r in
+                (miss, hit, uncached, bypass)] \
+            == ["miss", "hit", None, "bypass"]
+        estimate = dict(miss.plan["estimates"][0])
+        assert 25 <= estimate.pop("rows") <= 100
+        assert 0 < estimate.pop("cost") < 30      # a seq scan is 159
+        assert estimate == {
+            "table": "items", "binding": "items",
+            "path": "index_range(items.id)",
+            "interval": "3000 < id < 3051", "correlation": 1.0}
+        for result in (miss, hit, uncached, bypass):
+            assert result.plan["access_paths"] == ["index_range(items.id)"]
+            assert result.plan["estimates"] == miss.plan["estimates"]
+        assert len(miss.rows) == 50 and bypass.rows == [(50,)]
+        explained = dict(db.execute("EXPLAIN " + self.RANGE, params).rows)
+        assert explained["estimate"].endswith(
+            "interval=[3000 < id < 3051] correlation=1.0")
