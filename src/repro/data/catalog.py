@@ -334,9 +334,11 @@ class Catalog:
                           versioned=tdata.get("versioned", False))
             table.txns = self._txns
             # One bootstrap pass: live rows (frozen visibility — crash
-            # recovery already ran, so disk state is all-committed) and
-            # the largest version stamp, which floors the txn counter.
-            table.row_count, max_xid = table.bootstrap_stats()
+            # recovery already ran, so disk state is all-committed),
+            # the largest version stamp, which floors the txn counter,
+            # and the dead-version gauge autovacuum paces itself by.
+            table.row_count, max_xid, table.dead_versions = \
+                table.bootstrap_stats()
             self.max_seen_xid = max(self.max_seen_xid, max_xid)
             col_heap = None
             if self.columnar and table.versioned \

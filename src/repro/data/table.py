@@ -456,13 +456,15 @@ class Table:
                     return None   # defensive: truncated chain
                 header = unpack_version(payload)
 
-    def bootstrap_stats(self) -> tuple[int, int]:
-        """(live row count, max transaction id seen) from one heap pass —
-        what the catalog needs at load time, when everything on disk is
-        committed (crash recovery ran first) and no manager exists yet."""
+    def bootstrap_stats(self) -> tuple[int, int, int]:
+        """(live row count, max transaction id seen, dead versions) from
+        one heap pass — what the catalog needs at load time, when
+        everything on disk is committed (crash recovery ran first) and
+        no manager exists yet.  Dead versions are what vacuum counts:
+        every old-version copy plus every head stamped deleted."""
         if not self.versioned:
-            return self.heap.count(), 0
-        live = 0
+            return self.heap.count(), 0, 0
+        live = dead = 0
         max_xid = 0
         for _, payload in self.heap.scan():
             flags, xmin, xmax, _, _ = VERSION_HEADER.unpack_from(payload, 0)
@@ -472,7 +474,9 @@ class Table:
                 max_xid = xmax
             if flags & FLAG_HEAD and xmax == 0:
                 live += 1
-        return live, max_xid
+            else:
+                dead += 1
+        return live, max_xid, dead
 
     # -- index management -----------------------------------------------------------
 

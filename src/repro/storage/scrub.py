@@ -228,7 +228,8 @@ class ScrubManager:
         if keep or cuts or table.versioned:
             self.rebuild_indexes(table.name)
             with table._latch:
-                table.row_count = table.bootstrap_stats()[0]
+                table.row_count, _, table.dead_versions = \
+                    table.bootstrap_stats()
         return salvaged, dropped, cuts
 
     def _extract(self, table, page_id: PageId) -> tuple[list[bytes], int]:

@@ -22,6 +22,19 @@ exactly what no live (or future) read view can see:
   fallen below the horizon, so no current or future snapshot can probe
   its way to the pruned versions).
 
+A pass costs what the garbage costs.  One sweep of the heap classifies
+every record from the 25-byte version header it already holds: only a
+head that carries an ``xmax`` stamp or a ``prev`` chain can have anything
+to reclaim, and only those are re-read (under the table latch, because
+the unlatched sweep's copy may be stale by then) and operated on.  A
+live head with no chain is never fetched again.  That is safe against a
+writer that stamps or chains it after the sweep went by: the horizon was
+captured first and is at most every active and every future transaction
+id, so the writer's ``xmax`` — on the head it deletes or on the copy it
+pushes down — is at or above the horizon, and a re-read would have found
+nothing to prune; the next pass sees it.  Rows are decoded only where
+index entries have to be unlinked or versions migrated.
+
 All surgery for one table happens inside a transaction under the table
 latch (readers chain-walk under the same latch, so no pointer ever
 dangles mid-walk), and every mutation is WAL-logged — a *process crash*
@@ -54,7 +67,8 @@ import time
 from typing import Callable, Optional
 
 from repro.access.heap_file import RID
-from repro.access.version import HEADER_SIZE, restamp, unpack_version
+from repro.access.version import (
+    FLAG_HEAD, HEADER_SIZE, NO_PREV, VERSION_HEADER, restamp, unpack_version)
 from repro.errors import CatalogError, KeyNotFoundError, PageLayoutError
 from repro.storage.wal import OP_VERSION_STAMP
 
@@ -98,6 +112,10 @@ class VacuumManager:
         self.on_stats_change = on_stats_change
         self.runs = 0
         self.auto_runs = 0
+        #: Auto-triggered passes that raised (swallowed by :meth:`maybe`)
+        #: and the most recent such error as ``"Type: message"``.
+        self.auto_errors = 0
+        self.last_error: Optional[str] = None
         self.versions_reclaimed = 0
         self.rows_reclaimed = 0
         self.stale_entries_reclaimed = 0
@@ -231,7 +249,9 @@ class VacuumManager:
             return None
         try:
             summary = self.run(table_name)
-        except Exception:  # noqa: BLE001 — opportunistic, races DDL
+        except Exception as exc:  # noqa: BLE001 — opportunistic, races DDL
+            self.auto_errors += 1
+            self.last_error = f"{type(exc).__name__}: {exc}"
             return None
         self.auto_runs += 1
         return summary
@@ -310,15 +330,23 @@ class VacuumManager:
         removed_versions = removed_rows = removed_entries = 0
         migrated: Optional[list] = [] if store is not None else None
         try:
-            # Candidate heads are collected without the table latch
-            # (page latches make the reads safe); each row's surgery
-            # then re-reads its head under a short per-row latch hold,
-            # so writers and chain-walking readers are never blocked for
-            # a whole-table pass.  The horizon is captured once up
-            # front — it only moves forward, so it stays conservative.
+            # Candidate heads are classified from the header the sweep
+            # already holds, without the table latch (page latches make
+            # the reads safe): only a head with an ``xmax`` stamp or a
+            # chain has anything to reclaim.  Each candidate's surgery
+            # re-reads its head under a short per-row latch hold, so
+            # writers and chain-walking readers are never blocked for a
+            # whole-table pass.  The horizon is captured once up front —
+            # it only moves forward, so it stays conservative, and a
+            # head stamped or chained after the sweep passed it carries
+            # an xid at or above it: nothing a re-read could prune.
             horizon = self.transactions.snapshot_horizon()
-            candidates = [rid for rid, payload in table.heap.scan()
-                          if unpack_version(payload).is_head]
+            candidates = []
+            for rid, payload in table.heap.scan():
+                flags, _, xmax, prev_page, _ = \
+                    VERSION_HEADER.unpack_from(payload, 0)
+                if flags & FLAG_HEAD and (xmax or prev_page != NO_PREV):
+                    candidates.append(rid)
             remaining_dead = 0
             for rid in candidates:
                 with table._latch:
@@ -428,15 +456,14 @@ class VacuumManager:
         versions carried.  ``migrated`` collects ``(row, xmin, xmax)``
         per pruned version for columnar history.  Returns (versions
         removed, versions kept-but-dead, entries unlinked)."""
-        kept_rows = [table.schema.decode(payload[HEADER_SIZE:])]
-        keeper_rid, keeper_payload = head_rid, payload
+        kept_payloads = [payload]    # decoded only if a cut happens
+        keeper_rid = head_rid
         prev = header.prev
-        kept = 0
         while prev is not None:
             try:
                 copy_payload = table.heap.read(prev)
             except PageLayoutError:
-                return 0, kept, 0   # defensive: chain already truncated
+                break               # defensive: chain already truncated
             copy_header = unpack_version(copy_payload)
             if copy_header.xmax != 0 and copy_header.xmax < horizon:
                 # This copy and everything older is unreachable: the
@@ -444,28 +471,28 @@ class VacuumManager:
                 # keys only this tail carried can never be probed again.
                 doomed = [(prev, copy_payload)] + \
                     table.chain_members(copy_header.prev)
-                doomed_rids = [member_rid for member_rid, _ in doomed]
-                doomed_rows = [table.schema.decode(p[HEADER_SIZE:])
-                               for _, p in doomed]
+                decode = table.schema.decode
+                doomed_rows = [decode(p[HEADER_SIZE:]) for _, p in doomed]
                 if migrated is not None:
                     for (_, doomed_payload), row in zip(doomed,
                                                         doomed_rows):
                         version = unpack_version(doomed_payload)
                         migrated.append((row, version.xmin,
                                          version.xmax))
-                stale = self._unlink_entries(table, doomed_rows, head_rid,
-                                             keep_rows=kept_rows)
+                stale = self._unlink_entries(
+                    table, doomed_rows, head_rid,
+                    keep_rows=[decode(p[HEADER_SIZE:])
+                               for p in kept_payloads])
                 table.heap.update(
-                    keeper_rid, restamp(keeper_payload, cut_prev=True),
+                    keeper_rid, restamp(kept_payloads[-1], cut_prev=True),
                     txn=txn, op=OP_VERSION_STAMP)
-                for member in doomed_rids:
-                    table.heap.delete(member, txn=txn)
-                return len(doomed_rids), kept, stale
-            kept += 1
-            kept_rows.append(table.schema.decode(copy_payload[HEADER_SIZE:]))
-            keeper_rid, keeper_payload = prev, copy_payload
+                for member_rid, _ in doomed:
+                    table.heap.delete(member_rid, txn=txn)
+                return len(doomed), len(kept_payloads) - 1, stale
+            kept_payloads.append(copy_payload)
+            keeper_rid = prev
             prev = copy_header.prev
-        return 0, kept, 0
+        return 0, len(kept_payloads) - 1, 0
 
     # -- introspection -----------------------------------------------------------
 
@@ -483,6 +510,8 @@ class VacuumManager:
         return {
             "runs": self.runs,
             "auto_runs": self.auto_runs,
+            "auto_errors": self.auto_errors,
+            "last_error": self.last_error,
             "versions_reclaimed": self.versions_reclaimed,
             "rows_reclaimed": self.rows_reclaimed,
             "stale_index_entries": self.stale_entries_reclaimed,

@@ -108,27 +108,88 @@ class TestSlottedPage:
         view.delete(s0)
         assert [p for _, p in view.records()] == [b"b"]
 
+    def test_delete_is_lazy_and_the_next_tight_insert_compacts_once(
+            self, monkeypatch):
+        view = fresh_page(block_size=512)
+        slots = [view.insert(bytes([65 + i]) * 100) for i in range(4)]
+        free_ptr = view._free_ptr
+        offset, length = view._slot(slots[1])
+        compactions = []
+        original = SlottedPage._compact
+        monkeypatch.setattr(
+            SlottedPage, "_compact",
+            lambda self: compactions.append(1) or original(self))
+
+        view.delete(slots[1])
+        # Only the slot entry changed: payload bytes and the free
+        # pointer are where they were, yet the room is advertised.
+        assert view.page.read(offset, length) == b"B" * 100
+        assert view._free_ptr == free_ptr
+        assert view.free_space == 500 - 4 - 4 * 4 - 300
+        assert not compactions
+
+        # 150 bytes fit only once the hole joins the contiguous gap.
+        assert free_ptr - (4 + 4 * 4) < 150 <= view.free_space
+        assert view.insert(b"x" * 150) == slots[1]
+        assert compactions == [1]
+        assert view.read(slots[1]) == b"x" * 150
+        assert [view.read(s) for s in (slots[0], slots[2], slots[3])] == \
+            [b"A" * 100, b"C" * 100, b"D" * 100]
+        view.insert(b"y" * (view.free_space - 4))   # exactly full, no holes
+        assert compactions == [1] and view.free_space == 0
+
     @given(st.lists(
-        st.tuples(st.sampled_from(["insert", "delete"]),
-                  st.binary(min_size=1, max_size=60)),
+        st.tuples(st.sampled_from(["insert", "delete", "shrink", "grow",
+                                   "place"]),
+                  st.binary(min_size=1, max_size=60),
+                  st.integers(min_value=0, max_value=40)),
         max_size=60))
     @settings(max_examples=100, deadline=None)
     def test_model_based(self, ops):
-        """Slotted page behaves like a dict slot -> payload."""
+        """Slotted page behaves like a dict slot -> payload, whatever
+        mix of forward operations and recovery ``place`` calls built it
+        and however many holes it carries."""
         view = fresh_page(block_size=1024)
         model: dict[int, bytes] = {}
-        for op, payload in ops:
-            if op == "insert":
-                try:
-                    slot = view.insert(payload)
-                except PageLayoutError:
+        for op, payload, pick in ops:
+            victim = sorted(model)[pick % len(model)] if model else None
+            try:
+                if op == "insert":
+                    model[view.insert(payload)] = payload
+                elif op == "place":
+                    # Recovery restores exact slots: a tombstone, or one
+                    # a few entries past the end of the directory.
+                    dead = [s for s in range(view.num_slots)
+                            if s not in model]
+                    slot = dead[pick % len(dead)] if dead and pick % 2 \
+                        else view.num_slots + pick % 3
+                    view.place(slot, payload)
+                    model[slot] = payload
+                elif victim is None:
                     continue
-                model[slot] = payload
-            elif model:
-                slot = sorted(model)[0]
-                view.delete(slot)
-                del model[slot]
-        assert dict(view.records()) == model
+                elif op == "delete":
+                    view.delete(victim)
+                    del model[victim]
+                else:
+                    if op == "shrink":
+                        payload = model[victim][:max(1, pick % 8)]
+                    else:
+                        payload = model[victim] + payload
+                    view.update(victim, payload)
+                    model[victim] = payload
+            except PageLayoutError:
+                pass    # does not fit: the page must be unchanged
+            assert view.free_space == (
+                view.page.usable_size - 4 - 4 * view.num_slots
+                - sum(len(p) for p in model.values()))
+            # Slots are stable handles, through holes and compactions.
+            assert dict(view.records()) == model
+            assert all(view.read(slot) == p for slot, p in model.items())
+            assert view.live_count == len(model)
+            reopened = SlottedPage(Page.from_block(
+                view.page.page_id, view.page.to_block()))
+            assert dict(reopened.records()) == model
+            assert reopened.free_space == view.free_space
 
 
 def make_heap():
