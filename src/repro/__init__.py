@@ -6,9 +6,9 @@ for Flexible Data Management* (EDBT 2008 SETMDM workshop).
 The public façade is :class:`SBDMS`: build a system from a deployment
 profile, speak SQL to it, publish user services into it, and watch the
 coordinator keep it alive.  Every layer is also importable directly —
-``repro.core`` (the SOA kernel), ``repro.sca`` (the component model),
-``repro.storage`` / ``repro.access`` / ``repro.data`` (the engine), and
-``repro.extensions`` / ``repro.distribution`` (the Discussion scenarios).
+``repro.core`` (the SOA kernel), ``repro.storage`` / ``repro.access`` /
+``repro.data`` (the engine), ``repro.profiles`` (deployment profiles),
+and ``repro.extensions`` (the Discussion scenarios' add-on services).
 """
 
 from typing import Any, Optional, Sequence

@@ -7,7 +7,6 @@ selections, and sorting of record sets."
 """
 
 from repro.access.btree import BPlusTree
-from repro.access.external_sort import ExternalSorter
 from repro.access.hash_index import ExtendibleHashIndex
 from repro.access.heap_file import RID, HeapFile
 from repro.access.keycodec import (
@@ -34,7 +33,6 @@ from repro.access.slotted_page import SlottedPage
 
 __all__ = [
     "BPlusTree",
-    "ExternalSorter",
     "ExtendibleHashIndex",
     "RID",
     "HeapFile",

@@ -3,7 +3,7 @@
 Every error raised by the library derives from :class:`SBDMSError` so that
 callers can catch library failures with a single ``except`` clause.  The
 sub-hierarchies mirror the architectural layers of the paper: storage,
-access, data, the SOA kernel, SCA assembly, and the distribution substrate.
+access, data, the SOA kernel, and the extension services.
 """
 
 from __future__ import annotations
@@ -212,23 +212,6 @@ class ResourceExhaustedError(KernelError):
 
 
 # ---------------------------------------------------------------------------
-# SCA assembly
-# ---------------------------------------------------------------------------
-
-
-class SCAError(SBDMSError):
-    """Base class for SCA component-model failures."""
-
-
-class WiringError(SCAError):
-    """A reference could not be wired to a matching service."""
-
-
-class AssemblyError(SCAError):
-    """An assembly descriptor is malformed or inconsistent."""
-
-
-# ---------------------------------------------------------------------------
 # Extensions
 # ---------------------------------------------------------------------------
 
@@ -255,20 +238,3 @@ class ProcedureError(ExtensionError):
 
 class ReplicationError(ExtensionError):
     """Replication protocol failure (diverged replica, unknown peer)."""
-
-
-# ---------------------------------------------------------------------------
-# Distribution substrate
-# ---------------------------------------------------------------------------
-
-
-class DistributionError(SBDMSError):
-    """Base class for simulated-distribution failures."""
-
-
-class NetworkError(DistributionError):
-    """A simulated message could not be delivered (partition, loss)."""
-
-
-class NodeError(DistributionError):
-    """Device failure or resource exhaustion on a simulated node."""

@@ -23,6 +23,7 @@ plus observed predicates.  These tests pin down:
   ``stats()``.
 """
 
+import random
 import threading
 
 import pytest
@@ -393,13 +394,44 @@ class TestKnobAdaptationEngine:
 # -- the index advisor -------------------------------------------------------------
 
 
-def seeded_db(rows=400, groups=100, val=float):
-    db = Database()
+def seeded_db(rows=400, groups=100, val=float, **config):
+    db = Database(**config)
     db.execute("CREATE TABLE items (id INT PRIMARY KEY, grp INT, "
                "val FLOAT)")
     db.executemany("INSERT INTO items VALUES (?, ?, ?)",
                    [(i, i % groups, val(i)) for i in range(rows)])
     return db
+
+
+def mixed_stream(rows, groups, count, seed):
+    """A seeded blend over :func:`seeded_db`'s table: PK and ``grp``
+    probes, PK ranges, a grouped aggregate, and single-row writes."""
+    rng = random.Random(seed)
+    next_id = rows
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.25:
+            yield "SELECT * FROM items WHERE id = ?", (rng.randrange(rows),)
+        elif roll < 0.45:
+            yield ("SELECT * FROM items WHERE grp = ?",
+                   (rng.randrange(groups),))
+        elif roll < 0.60:
+            lo = rng.randrange(rows)
+            yield ("SELECT id, val FROM items WHERE id > ? AND id < ?",
+                   (lo, lo + 50))
+        elif roll < 0.75:
+            yield ("SELECT grp, COUNT(*), AVG(val) FROM items "
+                   "GROUP BY grp", ())
+        elif roll < 0.85:
+            next_id += 1
+            yield ("INSERT INTO items VALUES (?, ?, ?)",
+                   (next_id, rng.randrange(groups), 1.0))
+        elif roll < 0.95:
+            yield ("UPDATE items SET val = val + 1 WHERE id = ?",
+                   (rng.randrange(rows),))
+        else:
+            yield ("DELETE FROM items WHERE id = ?",
+                   (rng.randrange(rows, next_id + 1),))
 
 
 class TestIndexAdvisor:
@@ -569,6 +601,40 @@ class TestAdaptiveDatabase:
         assert any(kind == "adaptive" for kind, _ in rows) or \
             not db.knobs.adaptive_values()
         db.close()
+
+    def test_advisor_converges_without_flapping_on_a_mixed_stream(self):
+        statements = list(mixed_stream(rows=500, groups=100, count=600,
+                                       seed=13))
+
+        def replay(db):
+            selects = []
+            for sql, params in statements:
+                if not sql.startswith("SELECT"):
+                    db.execute(sql, params)
+                    continue
+                selects.append(sorted(
+                    tuple(round(c, 6) if isinstance(c, float) else c
+                          for c in row) for row in db.query(sql, params)))
+            return selects
+
+        static = seeded_db(rows=500)
+        adaptive = seeded_db(rows=500, adaptive=True, adapt_every=50)
+        # Tuning may change plans, never answers.
+        assert replay(adaptive) == replay(static)
+        static.close()
+
+        advisor = adaptive.autotuner.advisor
+        assert "adaptive_ix_items_grp" in advisor.created, advisor.stats()
+        # Converged: one create per profitable column, then silence.
+        kinds = [action["action"] for action in advisor.actions]
+        assert kinds.count("create_index") == len(advisor.created)
+        assert "drop_index" not in kinds
+        assert not any("error" in action for action in advisor.actions)
+        assert not advisor.scars
+        for decision in adaptive.stats()["adaptation"]["log"]:
+            assert {"knob", "policy", "trigger", "at"} <= set(decision)
+            assert {"old", "new"} <= set(decision) or "action" in decision
+        adaptive.close()
 
     def test_adaptive_decisions_revert_cleanly(self):
         db = Database(adaptive=True, adapt_every=10)

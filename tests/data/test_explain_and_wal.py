@@ -45,6 +45,12 @@ class TestExplain:
         assert ("access_path", "index_eq(t.id)") in result.rows
         # Planning a DML statement must not execute it.
         assert db.query("SELECT v FROM t WHERE id = 1") == [(10,)]
+        # Victims on a secondary column come through its index, and
+        # through a scan once the index is gone.
+        sql = "EXPLAIN UPDATE t SET id = 3 WHERE v = 20"
+        assert ("access_path", "index_eq(t.v)") in db.execute(sql).rows
+        db.execute("DROP INDEX by_v")
+        assert ("access_path", "seq_scan(t)") in db.execute(sql).rows
 
     def test_explain_delete_does_not_execute(self, db):
         result = db.execute("EXPLAIN DELETE FROM t WHERE v > 15")

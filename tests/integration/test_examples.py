@@ -23,6 +23,5 @@ def test_example_runs(script):
 
 def test_expected_example_set():
     names = {p.name for p in EXAMPLES}
-    assert {"quickstart.py", "sca_assembly.py", "embedded_sensor_node.py",
-            "adaptive_failover.py", "xml_content_store.py",
-            "distributed_dataspace.py", "granularity_study.py"} <= names
+    assert names == {"quickstart.py", "adaptive_failover.py",
+                     "xml_content_store.py", "granularity_study.py"}

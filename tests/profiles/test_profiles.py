@@ -1,28 +1,15 @@
-"""Deployment profiles, architecture styles, metrics, and workloads."""
+"""Deployment profiles, the SBDMS facade, and architecture styles."""
 
 import pytest
 
 from repro import SBDMS
-from repro.metrics import (
-    deep_sizeof,
-    footprint_report,
-    summarize,
-)
 from repro.profiles import (
     ARCHITECTURE_STYLES,
-    EMBEDDED,
     FULL,
     PROFILES,
     QUERY_ONLY,
     build_system,
     style_report,
-)
-from repro.workloads import (
-    KeyValueWorkload,
-    QueryWorkload,
-    StreamWorkload,
-    TableSpec,
-    zipf_ranks,
 )
 
 
@@ -34,12 +21,15 @@ class TestProfiles:
         assert len(layers["extension"]) >= 4
 
     def test_embedded_smaller_than_full(self):
-        full = build_system(FULL)
-        embedded = build_system(EMBEDDED)
-        assert embedded.footprint()["services"] < \
-            full.footprint()["services"]
-        assert embedded.footprint()["footprint_kb"] < \
-            full.footprint()["footprint_kb"]
+        footprint = {name: build_system(profile).footprint()
+                     for name, profile in PROFILES.items()}
+        assert footprint["embedded"]["services"] < \
+            footprint["full"]["services"]
+        kb = {name: fp["footprint_kb"] for name, fp in footprint.items()}
+        # Footprint is monotone in deployed functionality.
+        assert kb["embedded"] < kb["query-only"] <= kb["streaming"] \
+            < kb["full"]
+        assert kb["full"] / kb["embedded"] > 1.5
 
     def test_profiles_registry(self):
         assert set(PROFILES) == {"full", "embedded", "query-only",
@@ -52,11 +42,15 @@ class TestProfiles:
 
     def test_downsizing_by_retire(self):
         system = build_system(FULL)
-        before = system.footprint()["footprint_kb"]
-        system.kernel.retire("xml")
-        system.kernel.retire("streaming")
-        after = system.footprint()["footprint_kb"]
-        assert after < before
+        footprints = [system.footprint()["footprint_kb"]]
+        for name in ("xml", "streaming", "procedures", "replication",
+                     "storage-monitor"):
+            system.kernel.retire(name)
+            footprints.append(system.footprint()["footprint_kb"])
+        assert footprints == sorted(footprints, reverse=True)
+        assert footprints[-1] < footprints[0]
+        # The downsized system still answers queries.
+        assert system.kernel.sql("SELECT 1")["rows"] == [(1,)]
 
     def test_profile_by_name(self):
         system = build_system("embedded")
@@ -96,75 +90,3 @@ class TestArchitectureStyles:
         assert [r["era"] for r in report] == [1, 2, 3, 4]
         assert report[0]["style"] == "monolithic"
         assert report[-1]["update_stops"] == "1"
-
-
-class TestMetrics:
-    def test_flexibility_summary(self):
-        system = SBDMS(profile="query-only")
-        # extension activity
-        from tests.faults.test_faults import echo_service
-        system.publish(echo_service("extra"))
-        system.update(echo_service("extra"))
-        # adaptation activity
-        system.publish(echo_service("extra2"))
-        system.registry.get("extra").fail()
-        system.monitor()
-        summary = summarize(system.kernel)
-        assert summary.extension["publishes"] >= 2
-        assert summary.extension["updates"] == 1
-        assert summary.extension["max_services_stopped_per_update"] == 1
-        assert summary.adaptation["attempts"] >= 1
-        assert summary.to_dict()["extension"]["updates"] == 1
-
-    def test_footprint_report(self):
-        system = SBDMS(profile="embedded")
-        report = footprint_report(system.kernel, system.database)
-        assert report["services"] == 5
-        assert report["measured_kb"] > 0
-        assert report["advertised_kb"] > 0
-
-    def test_deep_sizeof_sees_nested(self):
-        small = deep_sizeof({"a": 1})
-        big = deep_sizeof({"a": list(range(10_000))})
-        assert big > small
-
-
-class TestWorkloads:
-    def test_kv_deterministic(self):
-        workload = KeyValueWorkload(seed=5)
-        first = list(workload.operations(50))
-        second = list(workload.operations(50))
-        assert first == second
-
-    def test_kv_mix_fractions(self):
-        workload = KeyValueWorkload(get_fraction=1.0, put_fraction=0.0)
-        ops = list(workload.operations(100))
-        assert all(op.kind == "get" for op in ops)
-
-    def test_zipf_skews_popularity(self):
-        import random
-        from collections import Counter
-        rng = random.Random(3)
-        skewed = Counter(zipf_ranks(rng, 100, 1.2, 5000))
-        rng = random.Random(3)
-        uniform = Counter(zipf_ranks(rng, 100, 0.0, 5000))
-        assert skewed.most_common(1)[0][1] > \
-            uniform.most_common(1)[0][1] * 2
-
-    def test_query_workload_runs(self):
-        from repro.data import Database
-        db = Database()
-        spec = TableSpec(n_rows=50)
-        workload = QueryWorkload(spec, seed=2)
-        workload.setup(db)
-        for statement, params in workload.statements(40):
-            db.execute(statement, params)
-        assert db.query(f"SELECT COUNT(*) FROM {spec.name}")[0][0] > 0
-
-    def test_query_workload_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            QueryWorkload(TableSpec(), mix={"teleport": 1.0})
-
-    def test_stream_workload_deterministic(self):
-        workload = StreamWorkload(seed=4)
-        assert list(workload.events(10)) == list(workload.events(10))

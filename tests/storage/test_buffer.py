@@ -1,5 +1,7 @@
 """Buffer pool unit tests: pinning, eviction, policies, WAL ordering."""
 
+import random
+
 import pytest
 
 from repro.errors import BufferPoolError, BufferPoolFullError, PageNotPinnedError
@@ -8,6 +10,7 @@ from repro.storage import (
     DiskManager,
     FileManager,
     MemoryDevice,
+    PageId,
     WriteAheadLog,
     make_policy,
 )
@@ -193,6 +196,31 @@ class TestStatsAndProperties:
         pool.unpin(pid)
         assert pool.stats.hits == 2
         assert pool.stats.hit_rate == 1.0
+
+    def test_no_policy_wins_every_trace(self):
+        """Recency/frequency beat FIFO on Zipf-skewed reads; MRU beats
+        LRU on a cyclic scan just larger than the pool."""
+        n_pages, capacity = 200, 50
+        rng = random.Random(11)
+        weights = [1.0 / (rank + 1) ** 1.1 for rank in range(n_pages)]
+        zipf = rng.choices(range(n_pages), weights, k=3000)
+        cyclic = [i % (capacity + 10) for i in range(3000)]
+
+        def hits(policy, trace):
+            pool, fid = make_pool(capacity=capacity, policy=policy)
+            for _ in range(n_pages):
+                pool.unpin(pool.new_page(fid).page_id, dirty=True)
+            pool.flush_all()
+            pool.drop_all()
+            pool.stats.reset()
+            for page_no in trace:
+                pool.fetch(PageId(fid, page_no))
+                pool.unpin(PageId(fid, page_no))
+            return pool.stats.hits
+
+        assert hits("lru", zipf) > hits("fifo", zipf)
+        assert hits("lfu", zipf) > hits("fifo", zipf)
+        assert hits("mru", cyclic) > hits("lru", cyclic) + 900
 
     def test_properties_shape(self):
         pool, fid = make_pool(capacity=4, policy="clock")

@@ -138,6 +138,32 @@ class TestFaultyDevice:
         assert dev.stats.writes == 1
         assert dev.inner.stats.reads == 0
 
+    def test_empty_schedule_is_transparent_to_the_engine(self):
+        from repro.data import Database
+
+        def run(wrap):
+            db = Database(device=wrap(MemoryDevice()),
+                          wal_device=wrap(MemoryDevice()),
+                          buffer_capacity=16)
+            db.execute("CREATE TABLE t (id INT PRIMARY KEY, n INT)")
+            db.executemany("INSERT INTO t VALUES (?, ?)",
+                           [(i, i % 7) for i in range(200)])
+            out = []
+            for i in range(60):
+                key = i * 31 % 200
+                db.execute("UPDATE t SET n = n + 1 WHERE id = ?", (key,))
+                out += db.query("SELECT n FROM t WHERE id = ?", (key,))
+            db.checkpoint()
+            return db, out + db.query("SELECT COUNT(*), SUM(n) FROM t")
+
+        _, expected = run(lambda device: device)
+        db, got = run(FaultyDevice)
+        assert got == expected
+        # The wrapper sat on every I/O path and injected nothing.
+        for device in (db.device, db.wal.device):
+            assert device.ops_total > 0
+            assert device.schedule.injected == 0
+
 
 class TestRetryIO:
     def test_transient_eio_healed(self):

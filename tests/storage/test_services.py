@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SimClock, SimulatedRmiBinding, LocalBinding
+from repro.core import SimClock, LocalBinding, make_binding
 from repro.storage.services import (
     GRANULARITIES,
     BufferManagerService,
@@ -60,17 +60,23 @@ class TestGranularities:
 
     def test_binding_cost_accumulates_per_granularity(self):
         times = {}
+        for binding in ("local", "rmi", "soap"):
+            for granularity in GRANULARITIES:
+                clock = SimClock()
+                storage = GranularStorage(
+                    granularity, binding=make_binding(binding, clock))
+                page = storage.allocate("f")
+                for _ in range(20):
+                    storage.write("f", page, 0, b"x" * 128)
+                    storage.read("f", page, 0, 128)
+                times[binding, granularity] = clock.now
+        # More boundaries -> more protocol tax, under every costly binding.
+        for binding in ("rmi", "soap"):
+            assert times[binding, "coarse"] < times[binding, "fine"]
+        # In-process decomposition is free; SOAP costs more than RMI.
+        assert times["local", "fine"] == 0.0
         for granularity in GRANULARITIES:
-            clock = SimClock()
-            storage = GranularStorage(
-                granularity, binding=SimulatedRmiBinding(clock))
-            page = storage.allocate("f")
-            for _ in range(20):
-                storage.write("f", page, 0, b"x" * 128)
-                storage.read("f", page, 0, 128)
-            times[granularity] = clock.now
-        # More boundaries -> more protocol tax.
-        assert times["coarse"] < times["fine"]
+            assert times["soap", granularity] > times["rmi", granularity]
 
     def test_same_stack_shared_across_granularities(self):
         stack = StorageStack()
