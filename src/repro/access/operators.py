@@ -513,18 +513,27 @@ class HashJoin(Operator):
         self.left_outer = left_outer
         self.columns = list(outer.columns) + list(inner.columns)
 
-    def _build(self) -> dict[tuple, list[tuple]]:
-        """Hash the inner child's rows on its key columns (batched pull;
-        the build side is identical for both engines)."""
-        table: dict[tuple, list[tuple]] = {}
+    def _build(self) -> dict:
+        """Hash the inner child's rows on its key columns (batched pull).
+        A single key is hashed on the bare value read from the batch's
+        key column, multiple keys on their tuple.  NULL keys are never
+        stored: SQL NULL never matches."""
+        table: dict = {}
         setdefault = table.setdefault
         inner_keys = self.inner_keys
+        single = inner_keys[0] if len(inner_keys) == 1 else None
         for batch in self.inner.batches():
-            for row in batch.iter_rows():
-                key = tuple(row[i] for i in inner_keys)
-                if any(part is None for part in key):
-                    continue  # SQL semantics: NULL never matches
-                setdefault(key, []).append(row)
+            if single is not None:
+                for key, row in zip(batch.columns[single],
+                                    batch.iter_rows()):
+                    if key is not None:
+                        setdefault(key, []).append(row)
+            else:
+                for row in batch.iter_rows():
+                    key = tuple(row[i] for i in inner_keys)
+                    if any(part is None for part in key):
+                        continue  # SQL semantics: NULL never matches
+                    setdefault(key, []).append(row)
         return table
 
     def __iter__(self) -> Iterator[tuple]:
@@ -562,11 +571,11 @@ class HashJoin(Operator):
             if len(outer_keys) == 1:
                 # Single-key probe: skip per-row key-tuple construction;
                 # map() concatenates match runs at C speed.
+                # NULL is never a build key, so no NULL test is needed.
                 key_column = batch.columns[outer_keys[0]] if batch.columns \
                     else []
                 for row, part in zip(batch.iter_rows(), key_column):
-                    matches = empty if part is None \
-                        else get((part,), empty)
+                    matches = get(part, empty)
                     if matches:
                         extend(map(row.__add__, matches))
                         if len(out_rows) >= flush_rows:
@@ -689,7 +698,7 @@ class Aggregate(Operator):
     def batches(self) -> Iterator[RowBatch]:
         if not self.group_by:
             # Global aggregates collapse each batch column with one
-            # bulk feed (C-speed sum/min/max/count under the hood).
+            # bulk feed (list.count/min/max; SUM/AVG add sequentially).
             states = [_AggState(fn, distinct)
                       for _, fn, _, distinct in self.aggregates]
             for batch in self.child.batches():
@@ -705,34 +714,56 @@ class Aggregate(Operator):
             row = tuple(state.result() for state in states)
             yield RowBatch.from_rows([row], len(self.columns))
             return
-        groups: dict[tuple, list[_AggState]] = {}
+        # Grouped: per batch, collect each key's row positions, then feed
+        # the group's values of every input column in one bulk call.
+        # Positions stay in row order inside a group, so float SUM/AVG
+        # accumulate exactly as the row engine's per-row feeds do.  All
+        # state is local: cached plans reuse this operator object.
+        groups: dict = {}
         get = groups.get
         group_by = self.group_by
         specs = self.aggregates
-        single_group = group_by[0] if len(group_by) == 1 else None
+        single = len(group_by) == 1
         for batch in self.child.batches():
-            rows = batch.iter_rows()
-            if single_group is not None and batch.columns:
-                keyed = zip(batch.columns[single_group], rows)
-            else:
-                keyed = ((tuple(row[i] for i in group_by), row)
-                         for row in rows)
-            for key, row in keyed:
-                if single_group is not None:
-                    key = (key,)
+            if not batch.num_rows:
+                continue
+            columns = batch.columns
+            keys = columns[group_by[0]] if single \
+                else list(zip(*[columns[i] for i in group_by]))
+            inputs = [None if idx is None else columns[idx]
+                      for _, _, idx, _ in specs]
+            for key, positions in _group_positions(keys).items():
                 states = get(key)
                 if states is None:
-                    states = [_AggState(fn, distinct)
-                              for _, fn, _, distinct in specs]
-                    groups[key] = states
-                for state, (_, _, idx, _) in zip(states, specs):
-                    state.feed(row[idx] if idx is not None else _COUNT_STAR)
-        out_rows = [key + tuple(state.result() for state in states)
+                    states = groups[key] = [
+                        _AggState(fn, distinct)
+                        for _, fn, _, distinct in specs]
+                for state, column in zip(states, inputs):
+                    if column is None:
+                        state.feed_count(len(positions))
+                    else:
+                        state.feed_many([column[i] for i in positions])
+        out_rows = [((key,) if single else key)
+                    + tuple(state.result() for state in states)
                     for key, states in groups.items()]
         yield from batches_from_rows(iter(out_rows), len(self.columns))
 
 
 _COUNT_STAR = object()
+
+
+def _group_positions(keys: Sequence) -> dict:
+    """Row positions of every distinct key, ascending, with the keys in
+    first-seen order.  Keys merge as dict keys do: ``1``/``1.0``/``True``
+    share the first-seen representative, NULL is a key of its own."""
+    add_of = dict.fromkeys(keys)
+    runs: dict = {}
+    for key in add_of:
+        run = runs[key] = []
+        add_of[key] = run.append
+    for i, key in enumerate(keys):
+        add_of[key](i)
+    return runs
 
 
 class _AggState:

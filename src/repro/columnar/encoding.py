@@ -28,6 +28,7 @@ bit-identical results to the row store.
 from __future__ import annotations
 
 import marshal
+import operator
 from array import array
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -127,23 +128,95 @@ class EncodedColumn:
 
     # -- predicate pushdown --------------------------------------------------
 
-    def matches(self, test: Callable[[Any], bool]) -> list[bool]:
-        """Per-row ``test(value) is True`` flags, evaluated on the
+    def matches(self, spec) -> list[bool]:
+        """Per-row "``spec`` is SQL TRUE" flags, evaluated on the
         encoded form: once per distinct value for dict blocks, once per
-        run for rle blocks."""
+        run for rle blocks, and as one comparison over the whole decoded
+        column for plain/for blocks."""
         if self.kind == "dict":
             domain, typecode, raw = marshal.loads(self.payload)
             codes = array(typecode)
             codes.frombytes(raw)
-            verdicts = [bool(test(value)) for value in domain]
+            verdicts = _column_flags(domain, spec)
             return [verdicts[c] for c in codes]
         if self.kind == "rle":
             run_values, run_lengths = marshal.loads(self.payload)
             out: list[bool] = []
-            for value, length in zip(run_values, run_lengths):
-                out.extend([bool(test(value))] * length)
+            for verdict, length in zip(_column_flags(run_values, spec),
+                                       run_lengths):
+                out.extend([verdict] * length)
             return out
-        return [bool(test(value)) for value in self.decode()]
+        return _column_flags(self.decode(), spec)
+
+
+def spec_test(op: str, value=None, low=None, high=None,
+              low_inclusive: bool = True, high_inclusive: bool = True
+              ) -> Callable[[Any], bool]:
+    """value -> "conjunct is SQL TRUE" — the exact 3VL semantics of the
+    compiled predicate (None operands are UNKNOWN, never TRUE), so
+    pushdown drops precisely the rows the residual WHERE would drop."""
+    if op == "isnull":
+        return lambda v: v is None
+    if op == "notnull":
+        return lambda v: v is not None
+    if op == "between":
+        if low is None or high is None:
+            return lambda v: False
+        above = operator.le if low_inclusive else operator.lt
+        below = operator.le if high_inclusive else operator.lt
+        return lambda v: v is not None and above(low, v) \
+            and below(v, high)
+    if value is None:
+        return lambda v: False
+    if op == "=":
+        return lambda v: v is not None and v == value
+    if op == "<":
+        return lambda v: v is not None and v < value
+    if op == "<=":
+        return lambda v: v is not None and v <= value
+    if op == ">":
+        return lambda v: v is not None and v > value
+    if op == ">=":
+        return lambda v: v is not None and v >= value
+    raise ValueError(f"unpushable op {op!r}")
+
+
+#: Whole-column comparisons, one list comprehension per op (faster on
+#: CPython 3.11 and 3.12 than ``map(operator.gt, values, repeat(c))``).
+_COMPARE_COLUMN = {
+    "=": lambda values, c: [v == c for v in values],
+    "<": lambda values, c: [v < c for v in values],
+    "<=": lambda values, c: [v <= c for v in values],
+    ">": lambda values, c: [v > c for v in values],
+    ">=": lambda values, c: [v >= c for v in values],
+}
+
+
+def _column_flags(values: list, spec) -> list[bool]:
+    """``spec_test`` over a whole value list, as one list comprehension
+    with no per-value call.  ``NULL = c`` is already False there for a
+    non-NULL ``c``.  A comparison that raises (NULL under an ordering op, or a value the
+    comparand cannot be ordered against) reruns through the per-value
+    3VL test, which raises exactly where the row test would."""
+    op = spec.op
+    if op == "isnull":
+        return [v is None for v in values]
+    if op == "notnull":
+        return [v is not None for v in values]
+    try:
+        if op in _COMPARE_COLUMN and spec.value is not None:
+            return _COMPARE_COLUMN[op](values, spec.value)
+        if op == "between":
+            above = _COMPARE_COLUMN[">=" if spec.low_inclusive
+                                    else ">"](values, spec.low)
+            below = _COMPARE_COLUMN["<=" if spec.high_inclusive
+                                    else "<"](values, spec.high)
+            return list(map(operator.and_, above, below))
+    except TypeError:
+        pass
+    return list(map(spec_test(op, spec.value, spec.low, spec.high,
+                              spec.low_inclusive, spec.high_inclusive),
+                    values))
 
 
 def _rle_encode(values: list) -> Optional[bytes]:

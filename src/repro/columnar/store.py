@@ -39,7 +39,8 @@ import marshal
 import operator
 import threading
 import zlib
-from typing import Any, Callable, Iterator, Optional, Sequence
+from itertools import compress
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.access.batch import RowBatch, _ColumnView
 from repro.access.heap_file import RID, HeapFile
@@ -58,38 +59,6 @@ _TAG_CHUNK = 0x02
 
 #: Spec ops the scan layer can evaluate exactly on encoded data.
 PUSHABLE_OPS = ("=", "<", "<=", ">", ">=", "between", "isnull", "notnull")
-
-
-def spec_test(op: str, value=None, low=None, high=None,
-              low_inclusive: bool = True, high_inclusive: bool = True
-              ) -> Callable[[Any], bool]:
-    """value -> "conjunct is SQL TRUE" — the exact 3VL semantics of the
-    compiled predicate (None operands are UNKNOWN, never TRUE), so
-    pushdown drops precisely the rows the residual WHERE would drop."""
-    if op == "isnull":
-        return lambda v: v is None
-    if op == "notnull":
-        return lambda v: v is not None
-    if op == "between":
-        if low is None or high is None:
-            return lambda v: False
-        above = operator.le if low_inclusive else operator.lt
-        below = operator.le if high_inclusive else operator.lt
-        return lambda v: v is not None and above(low, v) \
-            and below(v, high)
-    if value is None:
-        return lambda v: False
-    if op == "=":
-        return lambda v: v is not None and v == value
-    if op == "<":
-        return lambda v: v is not None and v < value
-    if op == "<=":
-        return lambda v: v is not None and v <= value
-    if op == ">":
-        return lambda v: v is not None and v > value
-    if op == ">=":
-        return lambda v: v is not None and v >= value
-    raise ValueError(f"unpushable op {op!r}")
 
 
 class ColumnBlock:
@@ -454,18 +423,12 @@ class ColumnarStore:
             index = column_index.get(spec.column)
             if index is None or spec.op not in PUSHABLE_OPS:
                 continue
-            test = spec_test(spec.op, spec.value, spec.low, spec.high,
-                             spec.low_inclusive, spec.high_inclusive)
-            verdicts = encoded[index].matches(test)
-            if flags is None:
-                flags = verdicts
-            else:
-                flags = [a and b for a, b in zip(flags, verdicts)]
-        if flags is None:
+            verdicts = encoded[index].matches(spec)
+            flags = verdicts if flags is None \
+                else list(map(operator.and_, flags, verdicts))
+        if flags is None or all(flags):
             return None
-        if all(flags):
-            return None
-        return [i for i, ok in enumerate(flags) if ok]
+        return list(compress(range(len(flags)), flags))
 
     @staticmethod
     def _all_xmins_seen(enc_xmin: EncodedColumn, snapshot) -> bool:

@@ -18,8 +18,8 @@ class ArchitectureStyle:
     """Flexibility scorecard entries for one architecture style.
 
     The boolean/step figures are *structural* facts about the coupling
-    discipline, asserted by the F1 benchmark against live behaviour of the
-    corresponding build (see benchmarks/bench_f1_architecture_styles.py).
+    discipline; tests/profiles/test_profiles.py (``TestArchitectureStyles``)
+    pins the scorecard they produce.
     """
 
     name: str

@@ -10,12 +10,18 @@ fraction-based pacing fires, and EXPLAIN names the store every table
 access path uses.
 """
 
+import marshal
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.columnar import BLOCK_ROWS, EncodedColumn, ZoneMap
+from repro.columnar import BLOCK_ROWS, PUSHABLE_OPS, EncodedColumn, ZoneMap
+from repro.columnar.encoding import (_dict_encode, _for_encode,
+                                     _rle_encode, spec_test)
 from repro.data import Database
+from repro.data.sql.optimizer import PredicateSpec
 from repro.storage import MemoryDevice
 
 ENGINES = ["vectorized", "row"]
@@ -63,9 +69,80 @@ class TestEncoding:
     def test_matches_agrees_with_per_row_test(self):
         values = [None, 1, 2, 2, 3, None, 5] * 50
         col = EncodedColumn.encode(values)
-        test = lambda v: v is not None and v >= 2   # noqa: E731
-        assert list(col.matches(test)) == [
+        assert list(col.matches(PredicateSpec("v", ">=", 2))) == [
             v is not None and v >= 2 for v in values]
+
+
+def _forced(kind, values):
+    """An EncodedColumn in ``kind`` regardless of which is smallest."""
+    payload = marshal.dumps(values) if kind == "plain" else {
+        "rle": _rle_encode, "dict": _dict_encode, "for": _for_encode,
+    }[kind](values)
+    assert payload is not None, (kind, values)
+    return EncodedColumn(kind, payload, len(values))
+
+
+COMPARANDS = [None, 0, 1, 1.0, True, 2.5, -3]
+SPECS = [PredicateSpec("v", op, value=c) for op in ("=", "<", "<=", ">", ">=")
+         for c in COMPARANDS] + \
+    [PredicateSpec("v", "between", low=lo, high=hi, low_inclusive=li,
+                   high_inclusive=hi_inc)
+     for lo, hi in [(0, 2), (1, 1.0), (-3, 2.5), (None, 2), (1, None)]
+     for li in (True, False) for hi_inc in (True, False)] + \
+    [PredicateSpec("v", "isnull"), PredicateSpec("v", "notnull")]
+
+
+class TestPushdownFlags:
+    """``EncodedColumn.matches(spec)`` equals the per-value ``spec_test``
+    closure for every pushable op on every encoding."""
+
+    def test_specs_cover_every_pushable_op(self):
+        assert {spec.op for spec in SPECS} == set(PUSHABLE_OPS)
+
+    @pytest.mark.parametrize("kind, values", [
+        ("plain", [3, 1.0, None, -3, True, 2.5, None, 0]),    # NULLs
+        ("plain", [3, 1.0, -3, True, 2.5, 0, 1]),           # no NULLs
+        ("for", [5, 1, -3, 0, 2, 1, 7]),                    # ints only
+        ("dict", [1, 1.0, True, None, 1, 2.5, 1.0, None]),
+        ("rle", [1, 1, 1.0, 1.0, None, None, True, True, 0, 0]),
+    ])
+    def test_matches_equals_spec_test(self, kind, values):
+        col = _forced(kind, values)
+        for spec in SPECS:
+            test = spec_test(spec.op, spec.value, spec.low, spec.high,
+                             spec.low_inclusive, spec.high_inclusive)
+            flags = col.matches(spec)
+            assert flags == [bool(test(v)) for v in values], spec
+            assert all(flag.__class__ is bool for flag in flags), spec
+
+    @given(st.lists(st.one_of(st.none(), st.integers(-4, 4),
+                              st.floats(-4, 4, allow_nan=False)),
+                    min_size=1, max_size=50),
+           st.sampled_from(SPECS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_equals_spec_test_property(self, values, spec):
+        test = spec_test(spec.op, spec.value, spec.low, spec.high,
+                         spec.low_inclusive, spec.high_inclusive)
+        expected = [bool(test(v)) for v in values]
+        assert EncodedColumn.encode(values).matches(spec) == expected
+        assert _forced("plain", values).matches(spec) == expected
+        assert _forced("dict", values).matches(spec) == expected
+        ints = [v for v in values if v.__class__ is int]
+        if ints:
+            assert _forced("for", ints).matches(spec) == \
+                [bool(test(v)) for v in ints]
+        runs = [v for v in values for _ in range(2)]
+        assert _forced("rle", runs).matches(spec) == \
+            [bool(test(v)) for v in runs]
+
+    def test_incomparable_values_fall_back_to_the_row_test(self):
+        # No block value reaches the string bound, so the row test never
+        # compares against it and nothing raises.
+        col = _forced("plain", [-5, -4, -3])
+        spec = PredicateSpec("v", "between", low=0, high="z")
+        assert col.matches(spec) == [False, False, False]
+        with pytest.raises(TypeError):
+            _forced("plain", [1, "a"]).matches(PredicateSpec("v", "<", 2))
 
 
 class TestZoneMap:
@@ -98,7 +175,6 @@ class TestZoneMap:
         assert zone.admits("<", 5)      # TypeError => cannot exclude
 
     def test_row_test_honours_interval_inclusivity(self):
-        from repro.columnar.store import spec_test
         closed = spec_test("between", low=1, high=3)
         half_open = spec_test("between", low=1, high=3,
                               low_inclusive=False)
