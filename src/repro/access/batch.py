@@ -4,8 +4,11 @@ A :class:`RowBatch` is the unit of exchange between batch-native
 operators: a tuple of column value lists, all the same length, holding
 up to :data:`BATCH_SIZE` rows.  Batches amortise Python's per-row
 interpreter dispatch — one operator call processes ~1024 rows, column
-projections are list re-references (zero copy), and aggregates collapse
-to C-speed builtins (``sum``/``min``/``max``/``list.count``).
+projections are list re-references (zero copy), and an aggregate takes
+a whole column per call: COUNT and MIN/MAX use C-speed builtins
+(``list.count``/``min``/``max``), while SUM/AVG add value by value onto
+the running total, because float addition is not associative and the
+row engine's order must be kept.
 
 Batches built from row tuples (scans, join outputs) are **lazily
 columnar**: the row list is kept and a column is transposed out only
