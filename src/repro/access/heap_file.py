@@ -21,8 +21,7 @@ a committed neighbour on the same page wrote afterwards.  Without a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from repro.errors import ChecksumError, PageLayoutError
 from repro.faults.crashpoints import maybe_crash
@@ -32,9 +31,11 @@ from repro.storage.wal import OP_HEAP_DELETE, OP_HEAP_INSERT, OP_HEAP_UPDATE
 from repro.access.slotted_page import SlottedPage
 
 
-@dataclass(frozen=True, order=True)
-class RID:
-    """Stable record identifier: page number within the file + slot."""
+class RID(NamedTuple):
+    """Stable record identifier: page number within the file + slot.
+
+    A plain tuple underneath (C-level hashing and equality); it also
+    compares equal to ``(page_no, slot)``."""
 
     page_no: int
     slot: int
@@ -108,7 +109,7 @@ class HeapFile:
         return RID(page.page_id.page_no, slot)
 
     def read(self, rid: RID) -> bytes:
-        page_id = self._page_id(rid.page_no)
+        page_id = PageId(self.file_id, rid.page_no)
         page = self.pages.fetch(page_id)
         try:
             with page.latch:
@@ -276,16 +277,16 @@ class HeapFile:
         fetch per page).  With ``missing_ok`` a deleted/invalid slot
         yields ``None`` instead of raising — versioned-table fetches
         tolerate index entries racing a vacuum prune."""
-        pinned_no: Optional[int] = None
+        pinned_id: Optional[PageId] = None
         pinned_page = None
         try:
             for rid in rids:
-                if pinned_no != rid.page_no or pinned_page is None:
+                if pinned_page is None or pinned_id.page_no != rid.page_no:
                     if pinned_page is not None:
-                        self.pages.unpin(self._page_id(pinned_no))
+                        self.pages.unpin(pinned_id)
                         pinned_page = None
-                    pinned_page = self.pages.fetch(self._page_id(rid.page_no))
-                    pinned_no = rid.page_no
+                    pinned_id = PageId(self.file_id, rid.page_no)
+                    pinned_page = self.pages.fetch(pinned_id)
                 with pinned_page.latch:
                     try:
                         payload = SlottedPage(pinned_page).read(rid.slot)
@@ -296,7 +297,7 @@ class HeapFile:
                 yield payload
         finally:
             if pinned_page is not None:
-                self.pages.unpin(self._page_id(pinned_no))
+                self.pages.unpin(pinned_id)
 
     def count(self) -> int:
         return sum(1 for _ in self.scan())

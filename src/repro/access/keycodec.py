@@ -127,9 +127,11 @@ def _float_rank_suffix(value: float) -> int:
 
 def encode_key(values: Any) -> bytes:
     """Encode a key (scalar or tuple of scalars) order-preservingly."""
-    if isinstance(values, tuple):
-        return b"".join(encode_component(v) for v in values)
-    return encode_component(values)
+    if not isinstance(values, tuple):
+        return encode_component(values)
+    if len(values) == 1:
+        return encode_component(values[0])
+    return b"".join(encode_component(v) for v in values)
 
 
 def decode_key(data: bytes, arity: int = 1) -> Any:

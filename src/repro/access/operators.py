@@ -160,6 +160,8 @@ class Project(Operator):
         # ``batch_fn``/``rows_fn`` compute all output columns in one
         # compiled loop over a columnar / row-backed batch.
         self.positions = list(positions) if positions is not None else None
+        # Every input column in order: batches pass through untouched.
+        self.identity = self.positions == list(range(len(child.columns)))
         self.batch_fn = batch_fn
         self.rows_fn = rows_fn
 
@@ -175,6 +177,9 @@ class Project(Operator):
             yield tuple(expr(row) for expr in self.exprs)
 
     def batches(self) -> Iterator[RowBatch]:
+        if self.identity:
+            yield from self.child.batches()
+            return
         if self.positions is not None:
             for batch in self.child.batches():
                 yield batch.project(self.positions)
@@ -225,6 +230,7 @@ class FusedSelectProject(Operator):
         self.columns = list(columns)
         self.exprs = list(exprs)
         self.positions = list(positions) if positions is not None else None
+        self.identity = self.positions == list(range(len(child.columns)))
         self.batch_fn = batch_fn
         self.rows_fn = rows_fn
 
@@ -240,6 +246,7 @@ class FusedSelectProject(Operator):
         batch_predicate = self.batch_predicate
         predicate = self.predicate
         positions = self.positions
+        identity = self.identity
         batch_fn = self.batch_fn
         rows_fn = self.rows_fn
         exprs = self.exprs
@@ -259,11 +266,12 @@ class FusedSelectProject(Operator):
                 continue
             if positions is not None:
                 if len(keep) == num_rows:
-                    yield batch.project(positions)
+                    yield batch if identity else batch.project(positions)
                 elif batch.rows is not None:
                     # Row-backed input: gather the surviving rows first
                     # (k ops) and transpose only the projected columns.
-                    yield batch.take(keep).project(positions)
+                    kept = batch.take(keep)
+                    yield kept if identity else kept.project(positions)
                 else:
                     columns = batch.columns
                     yield RowBatch(

@@ -183,7 +183,13 @@ class Catalog:
         files = self.pages.pool.files
         file_id = files.ensure_file(_index_file(index_name))
         index = TableIndex(definition, table.schema, self.pages, file_id)
-        table.attach_index(index, populate=True)
+        try:
+            table.attach_index(index, populate=True)
+        except BaseException:
+            # e.g. duplicate keys under a unique index: leave no file.
+            self._purge_file_frames(file_id)
+            files.delete_file(_index_file(index_name))
+            raise
         self.index_defs[index_name] = definition
         self.bump_ddl_version()
         return index

@@ -721,12 +721,11 @@ def compile_projection_factory(
         else:
             positions = None
     if positions is not None:
-        frozen = positions
-
-        def bind_positions(params: Sequence[Any]) -> CompiledProjection:
-            return CompiledProjection(
-                [f(params) for f in factories], frozen, None, None)
-        return bind_positions
+        # Bare column loads read no parameter: one projection serves
+        # every binding (operators copy what they keep).
+        bound = CompiledProjection([f(()) for f in factories], positions,
+                                   None, None)
+        return lambda params: bound
 
     def loop_factory(mode: str, header: str, loop: str) -> Callable:
         gen = _Codegen(scope, (), mode, late=True)

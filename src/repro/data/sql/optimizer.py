@@ -17,8 +17,9 @@ the physical step's brain:
   pool pays sequential-read cost even for "random" probes) and of how
   closely heap order follows key order;
 - :func:`choose_access_path` picks heap scan vs index equality vs index
-  range per table reference, and :func:`rule_access_path` is its
-  statistics-free fallback;
+  range per table reference, :func:`rule_access_path` is its
+  statistics-free fallback, and :func:`unique_probe` recognises the
+  statement shapes whose choice no binding can change;
 - :func:`order_joins` greedily orders inner equi-join graphs by
   estimated intermediate cardinality and selects hash vs nested-loop
   per step.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.data.sql.stats import ColumnStats, TableStats, orderable
 
@@ -324,6 +325,8 @@ class ScanChoice:
     #: Columnar scans carry the pushable conjuncts: zone maps skip
     #: blocks and encoded evaluation pre-filters rows with them.
     specs: tuple = ()
+    #: Index paths: the index walked.
+    index: Any = None
 
 
 def _record_sightings(table, specs: list[PredicateSpec]) -> None:
@@ -338,16 +341,15 @@ def _record_sightings(table, specs: list[PredicateSpec]) -> None:
                 record(spec.column, spec.op)
 
 
-def _index_kind(table, spec: PredicateSpec) -> Optional[str]:
-    """``index_eq``/``index_range`` when an index of ``table`` can walk
-    ``spec``'s interval, else None."""
+def _index_path(table, spec: PredicateSpec) -> Optional[tuple]:
+    """``(kind, index)`` when an index of ``table`` can walk ``spec``'s
+    interval (``index_eq`` or ``index_range``), else None."""
     if spec.op not in INTERVAL_OPS:
         return None
     kind = "index_eq" if spec.op == "=" else "index_range"
-    if table.index_on((spec.column,),
-                      require_btree=kind == "index_range") is None:
-        return None
-    return kind
+    index = table.index_on((spec.column,),
+                           require_btree=kind == "index_range")
+    return None if index is None else (kind, index)
 
 
 def choose_access_path(table, stats: TableStats,
@@ -382,17 +384,93 @@ def choose_access_path(table, stats: TableStats,
                               f"columnar_scan({table.name})",
                               cost, out_rows, specs=tuple(specs))
     for spec in specs:
-        kind = _index_kind(table, spec)
-        if kind is None:
+        found = _index_path(table, spec)
+        if found is None:
             continue
+        kind, index = found
         column = stats.column(spec.column)
         correlation = column.correlation if column is not None else 0.0
         cost = cost_model.index_scan(
             pages, rows, rows * estimator.conjunct(spec), correlation)
         if cost < best.cost:
             best = ScanChoice(kind, f"{kind}({table.name}.{spec.column})",
-                              cost, out_rows, spec, correlation)
+                              cost, out_rows, spec, correlation,
+                              index=index)
     return best
+
+
+@dataclass(frozen=True)
+class UniqueProbe:
+    """An access path no binding can change (see :func:`unique_probe`);
+    :meth:`choice` prices one bound key value exactly as
+    :func:`choose_access_path` would price the whole binding."""
+
+    index: Any
+    position: int              # the key equality's place in the specs
+    shape: tuple               # the specs decided for (sightings only)
+    path: str
+    rows: float
+    pages: int
+    correlation: float
+    estimator: SelectivityEstimator
+    cost_model: CostModel
+    #: The other specs' selectivities before and after the key's, in
+    #: spec order, so the product is bit-identical to ``combined``.
+    before: float
+    after: tuple
+
+    def choice(self, table, value: Any) -> ScanChoice:
+        _record_sightings(table, self.shape)
+        key = PredicateSpec(self.shape[self.position].column, "=", value)
+        selectivity = self.estimator.conjunct(key)
+        combined = self.before * selectivity
+        for factor in self.after:
+            combined *= factor
+        cost = self.cost_model.index_scan(
+            self.pages, self.rows, self.rows * selectivity,
+            self.correlation)
+        return ScanChoice("index_eq", self.path, cost,
+                          max(self.rows * combined, 0.0), key,
+                          self.correlation, index=self.index)
+
+
+def unique_probe(table, stats: TableStats, specs: list[PredicateSpec],
+                 cost_model: CostModel) -> Optional[UniqueProbe]:
+    """The access path of ``specs``' shape (columns and ops; the values
+    are ignored) when every binding gets it from
+    :func:`choose_access_path` and the key value alone prices it: the
+    one interval spec is ``=`` on the whole key of a unique index (at
+    most one match), nothing folds, every other selectivity is
+    binding-free, and the probe at its most expensive beats the heap
+    scan.  A columnar scan is the one candidate this cannot rule out:
+    callers use the probe only while none is legal."""
+    positions = [position for position, spec in enumerate(specs)
+                 if spec.op in INTERVAL_OPS]
+    if len(positions) != 1 or specs[positions[0]].op != "=":
+        return None
+    position = positions[0]
+    column = specs[position].column
+    found = _index_path(table, specs[position])
+    if found is None or not found[1].definition.unique:
+        return None
+    estimator = SelectivityEstimator(stats)
+    rows = float(stats.row_count)
+    pages = max(stats.page_count, 1)
+    column_stats = stats.column(column)
+    correlation = column_stats.correlation \
+        if column_stats is not None else 0.0
+    # An unbound ``=`` is priced like any in-range value: the most an
+    # equality selectivity gets (out-of-range values estimate 0 rows).
+    most = rows * estimator.conjunct(PredicateSpec(column, "="))
+    if cost_model.index_scan(pages, rows, most, correlation) \
+            >= cost_model.seq_scan(pages, rows):
+        return None
+    return UniqueProbe(found[1], position, tuple(specs),
+                       f"index_eq({table.name}.{column})", rows, pages,
+                       correlation, estimator, cost_model,
+                       estimator.combined(specs[:position]),
+                       tuple(estimator.conjunct(spec)
+                             for spec in specs[position + 1:]))
 
 
 def rule_access_path(table, specs: list[PredicateSpec],
@@ -402,10 +480,11 @@ def rule_access_path(table, specs: list[PredicateSpec],
     _record_sightings(table, specs)
     specs = fold_intervals(specs)
     for spec in specs:
-        kind = _index_kind(table, spec)
-        if kind is not None:
+        found = _index_path(table, spec)
+        if found is not None:
+            kind, index = found
             return ScanChoice(kind, f"{kind}({table.name}.{spec.column})",
-                              interval=spec)
+                              interval=spec, index=index)
     if columnar is not None:
         return ScanChoice("columnar", f"columnar_scan({table.name})",
                           specs=tuple(specs))

@@ -16,9 +16,10 @@ This module splits that pipeline at the two natural seams:
    ``compile_*_factory`` in :mod:`repro.data.sql.compiler`) and
    instantiates a fresh operator tree per execution — so every
    execution still sees the current snapshot, session transaction,
-   SSI tracking, and lock protocol.  Access paths are re-chosen per
-   execution from current statistics and parameter values, which keeps
-   plan dictionaries (``access_paths``, estimates, ``cost_based``)
+   SSI tracking, and lock protocol.  A unique-key equality's access
+   path is decided once per entry (:class:`ProbeMemo`) and priced per
+   binding; other shapes re-choose theirs per execution.  Either way
+   plan dictionaries (``access_paths``, estimates, ``cost_based``) stay
    bit-identical to the uncached planner.
 
 Statements the template builder cannot express (joins, aggregates,
@@ -44,16 +45,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from repro.access.operators import (
-    Distinct,
-    FusedSelectProject,
-    Limit,
-    Operator,
-    Project,
-    Select,
-    Sort,
-    TopK,
-)
+from repro.access.operators import Distinct, Limit, Operator, Select
 from repro.data.sql import ast
 from repro.data.sql.compiler import (
     compile_predicate_factory,
@@ -61,17 +53,26 @@ from repro.data.sql.compiler import (
     compile_scalar_factory,
 )
 from repro.data.sql.lexer import Token, tokenize
-from repro.data.sql.optimizer import CostModel, choose_access_path
+from repro.data.sql.optimizer import (
+    CostModel,
+    choose_access_path,
+    unique_probe,
+)
 from repro.data.sql.planner import (
     PlanInfo,
     Planner,
     Scope,
     _conjunct_bindings,
     _conjuncts,
+    _constant_value,
     _estimate_entry,
-    _expression_name,
+    _hidden_sort,
     _index_match,
+    _order_keys,
     _predicate_spec,
+    _project,
+    _select_outputs,
+    _sort,
     _store_entry,
 )
 from repro.errors import CatalogError, SQLPlanError, SQLSyntaxError
@@ -85,6 +86,31 @@ class StalePlanError(Exception):
 
 class _NotCacheable(Exception):
     """Statement shape the template builder does not support."""
+
+
+class ProbeMemo:
+    """One cache entry's :func:`unique_probe` outcome, decided again only
+    for another table or statistics object (drift no version counter
+    saw).  An index detached behind the entry raises
+    :class:`StalePlanError`.  The record is one tuple published by one
+    assignment, so sessions share it without a lock."""
+
+    __slots__ = ("_record",)
+
+    def __init__(self) -> None:
+        self._record = (None, None, None)
+
+    def probe(self, table, stats, decide: Callable[[], Any]):
+        """The probe for ``table`` under ``stats``; ``decide()`` runs
+        :func:`unique_probe` when none is recorded for them yet."""
+        seen_table, seen_stats, probe = self._record
+        if seen_table is not table or seen_stats is not stats:
+            probe = decide()
+            self._record = (table, stats, probe)
+        elif probe is not None and table.indexes.get(
+                probe.index.definition.name) is not probe.index:
+            raise StalePlanError(table.name)
+        return probe
 
 
 # ---------------------------------------------------------------------------
@@ -278,23 +304,25 @@ class SelectTemplate:
 
     Name resolution, ORDER BY key mapping, and closure codegen happened
     at build time; ``instantiate`` re-runs only the per-execution
-    parts — locking, snapshot capture, access-path choice (from current
-    statistics and the bound parameter values), and closure binding —
-    and returns a fresh operator tree plus its :class:`PlanInfo`.
+    parts — locking, snapshot capture, access-path choice, and closure
+    binding — and returns a fresh operator tree plus its
+    :class:`PlanInfo`.  The access path of a unique-key equality is
+    decided once per entry (see :class:`ProbeMemo`); every other shape
+    is re-chosen from current statistics and the bound values.
     """
 
     table_name: str
     binding: str
     scope_columns: list[str]
-    where: Optional[ast.Expression]
-    conjuncts: list
-    spec_ok: list[bool]
+    #: The WHERE conjuncts over this table alone, and each one's
+    #: ``col OP constant`` match (None when it has another form).
+    spec_conjuncts: list
+    spec_matches: list
     predicate_factory: Optional[Callable]
     projection_factory: Callable
     out_columns: list[str]
     keys: Optional[list[tuple[int, bool]]] = None
     hidden_factory: Optional[Callable] = None
-    n_computed: int = 0
     distinct: bool = False
     limit_factory: Optional[Callable] = None
     offset_factory: Optional[Callable] = None
@@ -303,6 +331,9 @@ class SelectTemplate:
     #: Adaptation class ("point" | "analytic"): routes the statement
     #: through the per-class engine override.
     query_class: str = "analytic"
+    memo: ProbeMemo = field(default_factory=ProbeMemo)
+    #: The table object the scope was last checked against.
+    _scoped: Any = field(default=None, init=False, repr=False)
 
     def execute(self, db, params: tuple, state: str):
         txn, autocommit = db._txn()
@@ -327,17 +358,18 @@ class SelectTemplate:
 
     def instantiate(self, planner: Planner,
                     params: tuple) -> tuple[Operator, PlanInfo]:
-        catalog = planner.catalog
-        info = PlanInfo()
-        info.exec_engine = planner.engine
-        info.isolation = planner.isolation
-        if not catalog.has_table(self.table_name):
-            raise StalePlanError(self.table_name)
-        table = catalog.table(self.table_name)
+        info = PlanInfo(exec_engine=planner.engine,
+                        isolation=planner.isolation)
+        try:
+            table = planner.catalog.table(self.table_name)
+        except CatalogError:
+            raise StalePlanError(self.table_name) from None
         planner._lock_for_read(self.table_name, table)
-        columns = [f"{self.binding}.{c}" for c in table.schema.names]
-        if columns != self.scope_columns:
-            raise StalePlanError(self.table_name)
+        if table is not self._scoped:
+            if [f"{self.binding}.{c}" for c in table.schema.names] \
+                    != self.scope_columns:
+                raise StalePlanError(self.table_name)
+            self._scoped = table
 
         plan: Operator = self._source(planner, table, params, info)
         if self.predicate_factory is not None:
@@ -345,22 +377,11 @@ class SelectTemplate:
             plan = Select(plan, predicate.row,
                           batch_predicate=predicate.batch,
                           rows_predicate=predicate.rows)
-        plan = self._order(plan, params, info)
-        projection = self.projection_factory(params)
-        if planner.engine == "vectorized" and isinstance(plan, Select):
-            info.fused = True
-            plan = FusedSelectProject(
-                plan.child, plan.predicate, self.out_columns,
-                projection.row_exprs,
-                batch_predicate=plan.batch_predicate,
-                rows_predicate=plan.rows_predicate,
-                positions=projection.positions,
-                batch_fn=projection.batch, rows_fn=projection.rows)
-        else:
-            plan = Project(plan, self.out_columns, projection.row_exprs,
-                           positions=projection.positions,
-                           batch_fn=projection.batch,
-                           rows_fn=projection.rows)
+        if self.keys is not None:
+            plan = self._order(plan, params, info)
+        plan = _project(plan, self.out_columns,
+                        self.projection_factory(params),
+                        planner.engine == "vectorized", info)
         if self.distinct:
             plan = Distinct(plan)
         if self.limit_factory is not None \
@@ -369,26 +390,41 @@ class SelectTemplate:
             plan = Limit(plan, limit, offset)
         return plan, info
 
+    def _specs(self, table, params: tuple) -> list:
+        schemas = {self.binding: table.schema}
+        return [_predicate_spec(conjunct, self.binding, schemas, params)
+                for conjunct in self.spec_conjuncts]
+
     def _source(self, planner: Planner, table, params: tuple,
                 info: PlanInfo) -> Operator:
-        """Access-path choice per execution: cost-based from current
-        statistics when present (same gate as the planner), else the
-        planner's own rule-based leaf."""
-        schemas = {self.binding: table.schema}
-        specs = [
-            _predicate_spec(conjunct, self.binding, schemas, params)
-            for ok, conjunct in zip(self.spec_ok, self.conjuncts)
-            if ok]
+        """The rule-based leaf without usable statistics (same gate as
+        the planner).  With them: the entry's unique-key probe bound to
+        this execution's key while no columnar scan is legal, else a
+        cost-based choice from current statistics and bound values."""
         stats_for = getattr(planner.catalog, "stats_for", None)
         stats = stats_for(self.table_name) if stats_for is not None \
             else None
         if stats is None or (stats.row_count == 0 and table.row_count):
-            return planner._rule_source(table, self.binding, specs, info)
-        cost_model = CostModel(buffer_pages=planner._buffer_pages())
-        choice = choose_access_path(
-            table, stats, specs, cost_model,
-            columnar=planner._columnar_candidate(table))
-        source = planner._choice_source(table, self.binding, choice)
+            return planner._rule_source(
+                table, self.binding, self._specs(table, params), info)
+        columnar = planner._columnar_candidate(table)
+        probe = self.memo.probe(table, stats, lambda: unique_probe(
+            table, stats, self._specs(table, params),
+            CostModel(buffer_pages=planner._buffer_pages()))) \
+            if columnar is None else None
+        if probe is None:
+            choice = choose_access_path(
+                table, stats, self._specs(table, params),
+                CostModel(buffer_pages=planner._buffer_pages()),
+                columnar=columnar)
+            source = planner._choice_source(table, self.binding, choice)
+        else:
+            _, value = _constant_value(
+                self.spec_matches[probe.position][2], params)
+            choice = probe.choice(table, value)
+            source = planner._index_source(
+                table, self.scope_columns, probe.index, "eq",
+                {"value": value})
         info.access_paths.append(choice.path)
         info.stores.append(_store_entry(self.binding, choice))
         info.estimates.append(
@@ -408,40 +444,15 @@ class SelectTemplate:
 
     def _order(self, plan: Operator, params: tuple,
                info: PlanInfo) -> Operator:
-        if self.keys is None:
-            return plan
-        keys = list(self.keys)
+        def sort(child: Operator, keys: list) -> Operator:
+            # DISTINCT above the sort forbids truncating it to a top-k.
+            bounded = not self.distinct and self.limit_factory is not None
+            return _sort(child, keys, self._limit_bounds(params)
+                         if bounded else None, info)
         if self.hidden_factory is None:
-            return self._sort(plan, keys, params, info)
-        base_arity = len(self.scope_columns)
-        hidden = self.hidden_factory(params)
-        augmented = Project(
-            plan,
-            list(plan.columns) + [f"__sort_{i}"
-                                  for i in range(self.n_computed)],
-            hidden.row_exprs, positions=hidden.positions,
-            batch_fn=hidden.batch, rows_fn=hidden.rows)
-        hidden_iter = iter(range(base_arity,
-                                 base_arity + self.n_computed))
-        keys = [(k if k >= 0 else next(hidden_iter), d)
-                for k, d in keys]
-        plan = self._sort(augmented, keys, params, info)
-        plan = Project.by_indexes(plan, list(range(base_arity)))
-        plan.columns = list(self.scope_columns)
-        return plan
-
-    def _sort(self, child: Operator, keys: list[tuple[int, bool]],
-              params: tuple, info: PlanInfo) -> Operator:
-        # Same top-k gate as Planner._sort_operator (DISTINCT above the
-        # sort forbids truncation).
-        if not self.distinct and self.limit_factory is not None:
-            limit, offset = self._limit_bounds(params)
-            if isinstance(limit, int) and not isinstance(limit, bool) \
-                    and limit >= 0 and isinstance(offset, int) \
-                    and offset >= 0:
-                info.top_k = True
-                return TopK(child, keys, limit + offset)
-        return Sort(child, keys)
+            return sort(plan, list(self.keys))
+        return _hidden_sort(plan, self.keys, self.hidden_factory(params),
+                            sort)
 
 
 @dataclass
@@ -463,6 +474,7 @@ class DmlTemplate:
         field(default_factory=list)
     tables: tuple[str, ...] = ()
     query_class: str = "dml"
+    memo: ProbeMemo = field(default_factory=ProbeMemo)
 
     def execute(self, db, params: tuple, state: str):
         table = db.catalog.table(self.table_name)
@@ -478,7 +490,8 @@ class DmlTemplate:
             predicate = self.predicate_factory(params).row \
                 if self.predicate_factory is not None else None
             db._lock_for_write(txn, self.table_name)
-            plan = planner.plan_dml(self.table_name, self.where, params)
+            plan = planner.plan_dml(self.table_name, self.where, params,
+                                    memo=self.memo)
             if self.kind == "update":
                 touched = db._apply_update(table, self.table_name,
                                            assignments, predicate, plan,
@@ -592,71 +605,28 @@ def _build_select(select: ast.SelectStatement, db) -> SelectTemplate:
     conjuncts = _conjuncts(select.where) \
         if select.where is not None else []
     schemas = {binding: table.schema}
-    spec_ok = [_conjunct_bindings(c, schemas) == {binding}
-               for c in conjuncts]
+    spec_conjuncts = [c for c in conjuncts
+                      if _conjunct_bindings(c, schemas) == {binding}]
     matches = [_index_match(conjunct, binding) for conjunct in conjuncts]
 
     predicate_factory = compile_predicate_factory(select.where, scope) \
         if select.where is not None else None
 
-    # ORDER BY resolution (static): mirrors _plan_order_then_project.
-    keys: Optional[list[tuple[int, bool]]] = None
-    hidden_factory = None
-    n_computed = 0
-    if select.order_by:
-        keys = []
-        computed: list[ast.Expression] = []
-        for item in select.order_by:
-            expr = item.expression
-            if isinstance(expr, ast.Literal) \
-                    and isinstance(expr.value, int):
-                position = expr.value - 1
-                if not 0 <= position < len(select.items):
-                    raise _NotCacheable("order position")
-                expr = select.items[position].expression
-            if isinstance(expr, ast.ColumnRef):
-                try:
-                    keys.append((scope.resolve(expr), item.descending))
-                    continue
-                except SQLPlanError:
-                    pass
-            if isinstance(expr, ast.ColumnRef) and expr.table is None:
-                for sel_item in select.items:
-                    if sel_item.alias == expr.name:
-                        expr = sel_item.expression
-                        break
-            computed.append(expr)
-            keys.append((-1, item.descending))
-        if computed:
-            n_computed = len(computed)
-            hidden_factory = compile_projection_factory(
-                list(range(len(columns))) + computed, scope)
-
-    out_columns: list[str] = []
-    outputs: list = []
-    for item in select.items:
-        if isinstance(item.expression, ast.Star):
-            star = item.expression
-            for i, column in enumerate(scope.columns):
-                if star.table is not None and \
-                        not column.startswith(f"{star.table}."):
-                    continue
-                out_columns.append(column.split(".", 1)[-1])
-                outputs.append(i)
-            continue
-        out_columns.append(item.alias
-                           or _expression_name(item.expression))
-        outputs.append(item.expression)
+    keys, computed = _order_keys(select, scope) if select.order_by \
+        else (None, [])
+    hidden_factory = compile_projection_factory(
+        list(range(len(columns))) + computed, scope) if computed else None
+    out_columns, outputs = _select_outputs(select, scope)
     projection_factory = compile_projection_factory(outputs, scope)
 
     return SelectTemplate(
         table_name=select.table.name, binding=binding,
-        scope_columns=columns, where=select.where,
-        conjuncts=conjuncts, spec_ok=spec_ok,
+        scope_columns=columns, spec_conjuncts=spec_conjuncts,
+        spec_matches=[_index_match(c, binding) for c in spec_conjuncts],
         predicate_factory=predicate_factory,
         projection_factory=projection_factory, out_columns=out_columns,
         keys=keys, hidden_factory=hidden_factory,
-        n_computed=n_computed, distinct=select.distinct,
+        distinct=select.distinct,
         limit_factory=_scalar_factory(select.limit)
         if select.limit is not None else None,
         offset_factory=_scalar_factory(select.offset)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from repro.access.operators import (
@@ -62,8 +63,9 @@ from repro.data.sql.optimizer import (
     ScanChoice,
     SelectivityEstimator,
     choose_access_path,
-    rule_access_path,
     order_joins,
+    rule_access_path,
+    unique_probe,
 )
 from repro.errors import SQLPlanError
 
@@ -476,10 +478,7 @@ class Planner:
         return self._choice_source(table, binding, choice)
 
     def _index_source(self, table, columns: list[str], index, kind: str,
-                      value: Any = None, lo: Optional[tuple] = None,
-                      hi: Optional[tuple] = None,
-                      lo_inclusive: bool = True,
-                      hi_inclusive: bool = True) -> Source:
+                      bounds: dict) -> Source:
         """Leaf operator fetching heap rows through an index probe
         (shared by the rule-based and cost-based paths).
 
@@ -504,36 +503,10 @@ class Planner:
         (2PL, or unversioned tables) already exclude writers via their
         S lock and skip the latch.
         """
-        if kind == "eq":
-            probe = lambda: index.lookup_eq((value,))  # noqa: E731
-            lo_values = hi_values = (value,)
-            lo_inc = hi_inc = True
-        else:
-            probe = (lambda: index.range_scan(lo, hi, lo_inclusive,
-                                              hi_inclusive))
-            lo_values, hi_values = lo, hi
-            lo_inc, hi_inc = lo_inclusive, hi_inclusive
         latch = getattr(table, "_latch", None) \
             if self.isolation in ("snapshot", "serializable") and \
             getattr(table, "versioned", False) else None
-        ssi = self._ssi_pair()
-        key_columns = index.definition.columns
-
-        def rids():
-            table.index_probes += 1
-            if ssi is not None:
-                # The probed bounds are this statement's predicate read:
-                # a SIREAD key-range lock catches writers that move rows
-                # into (or out of) the range — the phantom case tuple
-                # SIREADs cannot cover.
-                ssi[0].record_key_range(ssi[1], table.name, key_columns,
-                                        lo_values, hi_values, lo_inc,
-                                        hi_inc)
-            if latch is None:
-                return probe()   # locking read path: stream lazily
-            with latch:
-                return list(probe())
-
+        rids = self._index_rids(table, index, kind, latch, **bounds)
         snap = self.snapshot
         # read_many holds one pin per same-page RID run (instead of a
         # pin/unpin per record) and preserves index order; the batch
@@ -542,6 +515,35 @@ class Planner:
                       lambda: table.read_many(rids(), snapshot=snap),
                       batch_factory=lambda: table.read_batches(
                           rids(), snapshot=snap))
+
+    def _index_rids(self, table, index, kind: str, latch,
+                    value: Any = None, lo: Optional[tuple] = None,
+                    hi: Optional[tuple] = None, lo_inclusive: bool = True,
+                    hi_inclusive: bool = True) -> Callable[[], Any]:
+        """Callable producing one ``eq``/``range`` probe's candidate
+        head RIDs: walked under ``latch`` (materialised) when given,
+        else lazily.  Under serializable isolation the bounds register
+        a SIREAD key-range lock, the phantom case tuple SIREADs miss."""
+        if kind == "eq":
+            probe = partial(index.lookup_eq, (value,))
+            lo = hi = (value,)
+        else:
+            probe = partial(index.range_scan, lo, hi, lo_inclusive,
+                            hi_inclusive)
+        ssi = self._ssi_pair()
+        key_columns = index.definition.columns
+
+        def rids():
+            table.index_probes += 1
+            if ssi is not None:
+                ssi[0].record_key_range(ssi[1], table.name, key_columns,
+                                        lo, hi, lo_inclusive, hi_inclusive)
+            if latch is None:
+                return probe()   # locking read path: stream lazily
+            with latch:
+                return list(probe())
+
+        return rids
 
     # -- columnar sources --------------------------------------------------------
 
@@ -754,16 +756,9 @@ class Planner:
                        select: Optional[ast.SelectStatement],
                        params: Sequence[Any],
                        info: PlanInfo) -> Operator:
-        """Sort, or a bounded top-k heap when a LIMIT directly bounds
-        this sort (Sort→Limit plans keep only limit+offset rows)."""
-        if select is not None and select.limit is not None:
-            limit, offset = self._limit_bounds(select, params)
-            if isinstance(limit, int) and not isinstance(limit, bool) \
-                    and limit >= 0 and isinstance(offset, int) \
-                    and offset >= 0:
-                info.top_k = True
-                return TopK(child, keys, limit + offset)
-        return Sort(child, keys)
+        bounded = select is not None and select.limit is not None
+        return _sort(child, keys, self._limit_bounds(select, params)
+                     if bounded else None, info)
 
     # -- FROM-clause planning (cost-based with rule-based fallback) -------------------
 
@@ -944,25 +939,21 @@ class Planner:
                                   snapshot=snap))
             return self._columnar_source(table, binding, store,
                                          choice.specs)
-        interval = choice.interval
-        index = table.index_on((interval.column,),
-                               require_btree=choice.kind == "index_range")
-        if choice.kind == "index_eq":
-            return self._index_source(table, columns, index, "eq",
-                                      interval.value)
-        return self._index_source(table, columns, index, "range",
-                                  **_range_bounds(interval))
+        return self._index_source(table, columns, choice.index,
+                                  *_probe_bounds(choice))
 
     # -- DML victim selection ---------------------------------------------------------
 
     def plan_dml(self, table_name: str,
                  where: Optional[ast.Expression],
-                 params: Sequence[Any]) -> DMLPlan:
+                 params: Sequence[Any], memo=None) -> DMLPlan:
         """Costed access path for UPDATE/DELETE victim selection.
 
         With ANALYZE statistics the cost model chooses between a heap
         scan and the matching index probes (same machinery as SELECT,
-        plus the per-victim write overhead); without statistics the
+        plus the per-victim write overhead); a plan-cache entry passes
+        its ``memo``, which keeps a shape :func:`unique_probe` admits
+        decided across executions; without statistics the
         first interval an index can serve drives a rule-based probe,
         and a statement with no usable conjunct falls back to the seq
         scan DML always used before.
@@ -983,7 +974,12 @@ class Planner:
                 else:
                     specs.append(PredicateSpec("", "other"))
             cost_model = CostModel(buffer_pages=self._buffer_pages())
-            choice = choose_access_path(table, stats, specs, cost_model)
+            probe = memo.probe(table, stats, lambda: unique_probe(
+                table, stats, specs, cost_model)) \
+                if memo is not None else None
+            choice = probe.choice(table, specs[probe.position].value) \
+                if probe is not None \
+                else choose_access_path(table, stats, specs, cost_model)
             estimate = _estimate_entry(table_name, table_name, choice)
             estimate["cost"] = round(
                 choice.cost + cost_model.dml_overhead(choice.est_rows), 2)
@@ -993,62 +989,18 @@ class Planner:
                 table, _table_specs(conjuncts, table_name, table.schema,
                                     params))
             plan = DMLPlan(table_name, choice.path)
+        snap = self.snapshot
         if choice.kind == "seq":
-            snap = self.snapshot
             plan.victims = lambda: table.scan(snapshot=snap)
             return plan
-        interval = choice.interval
-        index = table.index_on((interval.column,),
-                               require_btree=choice.kind == "index_range")
-        if choice.kind == "index_eq":
-            plan.victims = self._dml_index_victims(
-                table, index, "eq", value=interval.value)
-        else:
-            plan.victims = self._dml_index_victims(
-                table, index, "range", **_range_bounds(interval))
+        # A DML statement holds no S lock in any isolation mode, so the
+        # probe always runs under the table latch; ``read_pairs``
+        # re-checks the candidates against the statement view.
+        kind, bounds = _probe_bounds(choice)
+        rids = self._index_rids(table, choice.index, kind,
+                                getattr(table, "_latch", None), **bounds)
+        plan.victims = lambda: table.read_pairs(rids(), snapshot=snap)
         return plan
-
-    def _dml_index_victims(self, table, index, kind: str,
-                           value: Any = None, lo: Optional[tuple] = None,
-                           hi: Optional[tuple] = None,
-                           lo_inclusive: bool = True,
-                           hi_inclusive: bool = True) -> Callable:
-        """Victim producer for a DML index probe: candidate head RIDs
-        from the (version-aware) index, re-checked against the statement
-        view by ``read_pairs``.  The probe always runs under the table
-        latch — a DML statement holds no S lock in any isolation mode,
-        so the in-memory index structure must be guarded against
-        concurrent maintenance.  Under serializable isolation the probed
-        bounds register as a SIREAD key-range lock, exactly like a
-        SELECT through the same index."""
-        if kind == "eq":
-            probe = lambda: index.lookup_eq((value,))  # noqa: E731
-            lo_values = hi_values = (value,)
-            lo_inc = hi_inc = True
-        else:
-            probe = (lambda: index.range_scan(lo, hi, lo_inclusive,
-                                              hi_inclusive))
-            lo_values, hi_values = lo, hi
-            lo_inc, hi_inc = lo_inclusive, hi_inclusive
-        latch = getattr(table, "_latch", None)
-        snap = self.snapshot
-        ssi = self._ssi_pair()
-        key_columns = index.definition.columns
-
-        def victims():
-            table.index_probes += 1
-            if ssi is not None:
-                ssi[0].record_key_range(ssi[1], table.name, key_columns,
-                                        lo_values, hi_values, lo_inc,
-                                        hi_inc)
-            if latch is None:
-                candidates = list(probe())
-            else:
-                with latch:
-                    candidates = list(probe())
-            return table.read_pairs(candidates, snapshot=snap)
-
-        return victims
 
     def _join_step(self, tree: Operator, source: Operator, step,
                    info: PlanInfo) -> Operator:
@@ -1223,95 +1175,130 @@ class Planner:
         # (dedup after truncation would under-produce rows).
         bounded = select if not select.distinct else None
         if select.order_by:
-            keys: list[tuple[int, bool]] = []
-            computed: list[tuple[ast.Expression, bool]] = []
-            for item in select.order_by:
-                expr = item.expression
-                if isinstance(expr, ast.Literal) and \
-                        isinstance(expr.value, int):
-                    # Positional ORDER BY refers to an output column; since
-                    # sorting happens pre-projection here, route it through
-                    # the select item's expression.
-                    position = expr.value - 1
-                    if not 0 <= position < len(select.items):
-                        raise SQLPlanError(
-                            f"ORDER BY position {expr.value} out of range")
-                    expr = select.items[position].expression
-                if isinstance(expr, ast.ColumnRef):
-                    try:
-                        keys.append((scope.resolve(expr), item.descending))
-                        continue
-                    except SQLPlanError:
-                        pass
-                # alias of a select item?
-                if isinstance(expr, ast.ColumnRef) and expr.table is None:
-                    for sel_item in select.items:
-                        if sel_item.alias == expr.name:
-                            expr = sel_item.expression
-                            break
-                computed.append((expr, item.descending))
-                keys.append((-1, item.descending))
-            if computed:
-                # Append computed sort keys as hidden columns, sort, strip.
-                base_arity = len(plan.columns)
-                hidden = compile_projection(
-                    list(range(base_arity)) + [e for e, _ in computed],
-                    scope, params)
-                augmented = Project(
-                    plan,
-                    list(plan.columns) + [f"__sort_{i}" for i in
-                                          range(len(computed))],
-                    hidden.row_exprs, positions=hidden.positions,
-                    batch_fn=hidden.batch, rows_fn=hidden.rows)
-                hidden_iter = iter(range(base_arity,
-                                         base_arity + len(computed)))
-                keys = [(k if k >= 0 else next(hidden_iter), d)
-                        for k, d in keys]
-                plan = self._sort_operator(augmented, keys, bounded,
-                                           params, info)
-                plan = Project.by_indexes(plan, list(range(base_arity)))
-                plan.columns = list(scope.columns)
-            else:
-                plan = self._sort_operator(plan, keys, bounded, params,
+            keys, computed = _order_keys(select, scope)
+
+            def sort(child: Operator, keys: list) -> Operator:
+                return self._sort_operator(child, keys, bounded, params,
                                            info)
-        # Projection.
-        columns: list[str] = []
-        outputs: list = []
-        for item in select.items:
-            if isinstance(item.expression, ast.Star):
-                star = item.expression
-                for i, column in enumerate(scope.columns):
-                    if star.table is not None and \
-                            not column.startswith(f"{star.table}."):
-                        continue
-                    columns.append(column.split(".", 1)[-1])
-                    outputs.append(i)
-                continue
-            columns.append(item.alias or _expression_name(item.expression))
-            outputs.append(item.expression)
+            if computed:
+                # Computed sort keys ride along as hidden columns.
+                plan = _hidden_sort(plan, keys, compile_projection(
+                    list(range(len(plan.columns))) + computed, scope,
+                    params), sort)
+            else:
+                plan = sort(plan, keys)
+        columns, outputs = _select_outputs(select, scope)
         projection = compile_projection(outputs, scope, params)
-        if self.engine == "vectorized" and isinstance(plan, Select):
-            # Fuse filter+projection into one batch pass (both operators
-            # are stateless row-wise maps, so fusion is always safe).
-            info.fused = True
-            projected: Operator = FusedSelectProject(
-                plan.child, plan.predicate, columns, projection.row_exprs,
-                batch_predicate=plan.batch_predicate,
-                rows_predicate=plan.rows_predicate,
-                positions=projection.positions,
-                batch_fn=projection.batch,
-                rows_fn=projection.rows)
-        else:
-            projected = Project(plan, columns, projection.row_exprs,
-                                positions=projection.positions,
-                                batch_fn=projection.batch,
-                                rows_fn=projection.rows)
-        return projected, Scope(columns)
+        return _project(plan, columns, projection,
+                        self.engine == "vectorized", info), Scope(columns)
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+
+def _sort(child: Operator, keys: Sequence[tuple[int, bool]],
+          bounds: Optional[tuple], info: PlanInfo) -> Operator:
+    """Sort, or a bounded top-k heap when a LIMIT directly bounds this
+    sort (``bounds`` is its ``(limit, offset)``; Sort→Limit plans keep
+    only limit+offset rows)."""
+    if bounds is not None:
+        limit, offset = bounds
+        if isinstance(limit, int) and not isinstance(limit, bool) \
+                and limit >= 0 and isinstance(offset, int) and offset >= 0:
+            info.top_k = True
+            return TopK(child, keys, limit + offset)
+    return Sort(child, keys)
+
+
+def _project(plan: Operator, columns: list[str], projection, fuse: bool,
+             info: PlanInfo) -> Operator:
+    """The projection over ``plan``, fused with a filter right below it
+    into one batch pass when ``fuse`` (both operators are stateless
+    row-wise maps, so fusion is always safe)."""
+    if fuse and isinstance(plan, Select):
+        info.fused = True
+        return FusedSelectProject(
+            plan.child, plan.predicate, columns, projection.row_exprs,
+            batch_predicate=plan.batch_predicate,
+            rows_predicate=plan.rows_predicate,
+            positions=projection.positions, batch_fn=projection.batch,
+            rows_fn=projection.rows)
+    return Project(plan, columns, projection.row_exprs,
+                   positions=projection.positions,
+                   batch_fn=projection.batch, rows_fn=projection.rows)
+
+
+def _order_keys(select: ast.SelectStatement,
+                scope: Scope) -> tuple[list, list]:
+    """A non-aggregate ORDER BY as ``(slot, descending)`` sort keys over
+    ``scope``, slot -1 for each computed key, plus those computed
+    expressions in order.  Positions and aliases name select items."""
+    keys: list[tuple[int, bool]] = []
+    computed: list[ast.Expression] = []
+    for item in select.order_by:
+        expr = item.expression
+        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+            # Positional ORDER BY refers to an output column; since
+            # sorting happens pre-projection, route it through the
+            # select item's expression.
+            position = expr.value - 1
+            if not 0 <= position < len(select.items):
+                raise SQLPlanError(
+                    f"ORDER BY position {expr.value} out of range")
+            expr = select.items[position].expression
+        if isinstance(expr, ast.ColumnRef):
+            try:
+                keys.append((scope.resolve(expr), item.descending))
+                continue
+            except SQLPlanError:
+                pass
+        if isinstance(expr, ast.ColumnRef) and expr.table is None:
+            for sel_item in select.items:     # alias of a select item?
+                if sel_item.alias == expr.name:
+                    expr = sel_item.expression
+                    break
+        computed.append(expr)
+        keys.append((-1, item.descending))
+    return keys, computed
+
+
+def _hidden_sort(plan: Operator, keys: list, hidden,
+                 sort: Callable[[Operator, list], Operator]) -> Operator:
+    """Sort ``plan`` on ``keys`` whose computed entries (slot -1) are the
+    extra outputs of the projection ``hidden``: append them as hidden
+    columns, ``sort(child, keys)``, strip them again."""
+    arity = len(plan.columns)
+    extra = len(hidden.row_exprs) - arity
+    augmented = Project(
+        plan, list(plan.columns) + [f"__sort_{i}" for i in range(extra)],
+        hidden.row_exprs, positions=hidden.positions,
+        batch_fn=hidden.batch, rows_fn=hidden.rows)
+    slots = iter(range(arity, arity + extra))
+    keys = [(k if k >= 0 else next(slots), d) for k, d in keys]
+    return Project.by_indexes(sort(augmented, keys), list(range(arity)))
+
+
+def _select_outputs(select: ast.SelectStatement,
+                    scope: Scope) -> tuple[list[str], list]:
+    """Output column names and projection outputs (slot or expression)
+    of a non-aggregate select list, ``*`` expanded over ``scope``."""
+    columns: list[str] = []
+    outputs: list = []
+    for item in select.items:
+        if isinstance(item.expression, ast.Star):
+            star = item.expression
+            for i, column in enumerate(scope.columns):
+                if star.table is not None and \
+                        not column.startswith(f"{star.table}."):
+                    continue
+                columns.append(column.split(".", 1)[-1])
+                outputs.append(i)
+            continue
+        columns.append(item.alias or _expression_name(item.expression))
+        outputs.append(item.expression)
+    return columns, outputs
 
 
 def _conjuncts(expr: ast.Expression) -> list[ast.Expression]:
@@ -1385,14 +1372,18 @@ def _table_specs(conjuncts: list, binding: str, schema,
             if _conjunct_bindings(conjunct, schemas) == {binding}]
 
 
-def _range_bounds(interval: PredicateSpec) -> dict:
-    """``_index_source``/``_dml_index_victims`` keyword arguments that
-    walk exactly ``interval``."""
+def _probe_bounds(choice: ScanChoice) -> tuple[str, dict]:
+    """``(kind, bounds)`` arguments of :meth:`Planner._index_rids` that
+    walk exactly an index choice's interval."""
+    interval = choice.interval
+    if choice.kind == "index_eq":
+        return "eq", {"value": interval.value}
     low, high = interval.bounds()
-    return {"lo": (low[0],) if low is not None else None,
-            "lo_inclusive": low[1] if low is not None else True,
-            "hi": (high[0],) if high is not None else None,
-            "hi_inclusive": high[1] if high is not None else True}
+    return "range", {
+        "lo": (low[0],) if low is not None else None,
+        "lo_inclusive": low[1] if low is not None else True,
+        "hi": (high[0],) if high is not None else None,
+        "hi_inclusive": high[1] if high is not None else True}
 
 
 def _store_entry(binding: str, choice: ScanChoice) -> str:

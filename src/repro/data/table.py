@@ -51,6 +51,7 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.access.batch import BATCH_SIZE, RowBatch
@@ -131,6 +132,10 @@ class TableIndex:
     unique entries hold a packed *list* of RIDs (two rows may hold one
     key transiently while a recycle or key-move is in flight), inserts
     of an already-present pair are no-ops, and deletes are RID-aware.
+
+    A unique index constrains non-NULL keys only (SQL: NULLs are never
+    equal), so a key with a NULL component is stored like a non-unique
+    entry — RID-suffixed, one per row — and never conflicts.
     """
 
     def __init__(self, definition: IndexDef, schema: Schema,
@@ -162,9 +167,13 @@ class TableIndex:
     def key_values(self, row: Sequence[Any]) -> tuple:
         return tuple(row[i] for i in self.column_indexes)
 
+    def _constrains(self, values: tuple) -> bool:
+        """Does uniqueness apply to ``values`` (unique, no NULL)?"""
+        return self.definition.unique and None not in values
+
     def _entry_key(self, values: tuple, rid: RID) -> bytes:
         key = encode_key(values)
-        if not self.definition.unique:
+        if not self._constrains(values):
             key += encode_rid(rid)
         return key
 
@@ -196,7 +205,7 @@ class TableIndex:
         key = self._entry_key(values, rid)
         # Only a versioned unique key gathers RIDs, so only it is read
         # first; any other entry finds its key taken by the insert failing.
-        multi = self.definition.unique and self.versioned
+        multi = self.versioned and self._constrains(values)
         value = self._entry_value(values, rid,
                                   index.get(key) if multi else None)
         if value is None:
@@ -228,21 +237,28 @@ class TableIndex:
         return existing + packed
 
     def build(self, rows: Iterable[tuple[RID, Sequence[Any]]]) -> None:
-        """Fill this empty index from ``(rid, row)`` pairs with the entries
-        :meth:`insert` would make row by row, loaded into a B+-tree in one
-        bottom-up pass."""
-        if self.tree is None:
-            for rid, row in rows:
-                self.insert(row, rid)
-            return
+        """Fill this empty index from ``(rid, row)`` pairs — one visible
+        version per row, as a scan under a fresh snapshot yields them —
+        with the entries :meth:`insert` would make row by row, loaded
+        into a B+-tree in one bottom-up pass.  Two rows sharing a unique
+        key are then both visible, which raises
+        :class:`DuplicateKeyError` before anything is written, in every
+        isolation mode."""
         entries: dict[bytes, bytes] = {}
         for rid, row in rows:
             values = self.key_values(row)
             key = self._entry_key(values, rid)
-            value = self._entry_value(values, rid, entries.get(key))
-            if value is not None:
-                entries[key] = value
-        self.tree.bulk_load(sorted(entries.items()))
+            if key in entries:
+                raise DuplicateKeyError(
+                    f"duplicate key {values!r} in unique index "
+                    f"{self.definition.name!r}")
+            entries[key] = encode_rid(rid) if self.definition.unique \
+                else b""
+        if self.tree is None:
+            for key, value in entries.items():
+                self.hash.insert(key, value)
+        else:
+            self.tree.bulk_load(sorted(entries.items()))
 
     def delete(self, row: Sequence[Any], rid: RID) -> None:
         self.delete_values(self.key_values(row), rid)
@@ -254,7 +270,7 @@ class TableIndex:
         RID, so unlinking a dead former holder never orphans a live row
         that recycled the key."""
         index = self.tree if self.tree is not None else self.hash
-        if self.definition.unique and self.versioned:
+        if self.versioned and self._constrains(values):
             key = encode_key(values)
             existing = index.get(key)
             packed = encode_rid(rid)
@@ -276,9 +292,10 @@ class TableIndex:
         """True when inserting ``row`` would violate uniqueness (raw
         membership — meaningful only for unversioned tables, where an
         entry implies a live row)."""
-        if not self.definition.unique:
+        values = self.key_values(row)
+        if not self._constrains(values):
             return False
-        key = encode_key(self.key_values(row))
+        key = encode_key(values)
         if self.tree is not None:
             return self.tree.get(key) is not None
         return self.hash.get(key) is not None
@@ -298,7 +315,7 @@ class TableIndex:
                 found = self.hash.get(key)
             if found is None:
                 return []
-            if self.versioned:
+            if len(found) > _RID.size:    # versioned: several holders
                 return self._rid_list(found)
             return [decode_rid(found)]
         if self.tree is None:
@@ -620,8 +637,9 @@ class Table:
             if not index.definition.unique:
                 continue
             values = index.key_values(validated)
-            if old_row is not None and values == index.key_values(old_row):
-                continue   # update keeping this key: no conflict possible
+            if None in values or (old_row is not None
+                                  and values == index.key_values(old_row)):
+                continue   # NULL never conflicts; nor does a kept key
             if not self.versioned:
                 if index.would_conflict(validated):
                     raise DuplicateKeyError(
@@ -1167,14 +1185,20 @@ class Table:
                      ) -> Iterator[RowBatch]:
         """Batched index-scan fetch: RID runs are read under one pin per
         page and decoded in bulk, preserving RID order (and filtered by
-        the read view on versioned tables)."""
+        the read view on versioned tables).  A list of at most one RID
+        (a unique-key probe) is decoded without the payload batching and
+        the bulk decoder."""
         if not self.versioned:
             codec = self.schema.codec
             source: Iterable[bytes] = self.heap.read_many(rids)
         else:
             codec = self._version_codec
-            source = (payload for _, payload
-                      in self._fetch_visible(rids, snapshot))
+            source = map(itemgetter(1), self._fetch_visible(rids, snapshot))
+        if isinstance(rids, list) and len(rids) < 2:
+            rows = [codec.decode(payload) for payload in source]
+            if rows:
+                yield RowBatch.from_rows(rows, len(codec.types))
+            return
         payloads: list[bytes] = []
         for payload in source:
             payloads.append(payload)

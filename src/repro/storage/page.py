@@ -21,7 +21,7 @@ from __future__ import annotations
 import struct
 import threading
 import zlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ChecksumError
 
@@ -32,9 +32,12 @@ PAGE_TRAILER_SIZE = LSN_SIZE + CHECKSUM_SIZE
 _LSN = struct.Struct("<Q")
 
 
-@dataclass(frozen=True, order=True)
-class PageId:
-    """Identifies a page as (file id, page number within the file)."""
+class PageId(NamedTuple):
+    """Identifies a page as (file id, page number within the file).
+
+    A plain tuple underneath, so hashing and equality (every buffer-pool
+    dict lookup) run in C; it also compares equal to ``(file_id,
+    page_no)``."""
 
     file_id: int
     page_no: int

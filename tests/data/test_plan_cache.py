@@ -23,7 +23,9 @@ import pytest
 
 from repro.data import Database
 from repro.data.sql.compiler import _LIKE_CACHE_LIMIT, _sql_like
-from repro.data.sql.plancache import fingerprint
+from repro.data.sql.parser import parse
+from repro.data.sql.plancache import ProbeMemo, fingerprint
+from repro.data.sql.planner import Planner
 from repro.errors import (
     DeadlockError,
     LockTimeoutError,
@@ -456,3 +458,243 @@ class TestBoundedCaches:
         assert stats["capacity"] == 128
         assert stats["hits"] >= 1 and stats["misses"] >= 1
         assert 0.0 <= stats["hit_rate"] <= 1.0
+
+
+# -- unique-key probes decided once per entry ---------------------------------
+
+
+def _pair(**kwargs):
+    """The same database twice: statement cache on, and off."""
+    pair = []
+    for cache in (128, 0):
+        database = Database(plan_cache_size=cache, **kwargs)
+        database.execute("CREATE TABLE acct (id INT PRIMARY KEY, "
+                         "code INT, grp INT, bal INT)")
+        database.execute("CREATE UNIQUE INDEX acct_code ON acct (code)")
+        database.executemany(
+            "INSERT INTO acct VALUES (?, ?, ?, ?)",
+            [(i, 10_000 + i if i % 10 else None, i % 7, 50)
+             for i in range(500)])
+        pair.append(database)
+    return pair
+
+
+def _plan(result) -> dict:
+    return {k: v for k, v in result.plan.items() if k != "cached"}
+
+
+def _same_answers(pair, sql, params) -> dict:
+    cached, uncached = (database.execute(sql, params) for database in pair)
+    assert cached.rows == uncached.rows, (sql, params)
+    assert _plan(cached) == _plan(uncached), (sql, params)
+    return cached.plan
+
+
+def _memo(database, sql):
+    entry = database._plan_cache._entries[fingerprint(sql).text]
+    return entry.template.memo._record[2]
+
+
+class TestUniqueProbe:
+    POINT = "SELECT * FROM acct WHERE id = ?"
+
+    @pytest.mark.parametrize("analyze", [False, True])
+    def test_point_reads_match_the_uncached_planner(self, analyze):
+        pair = _pair()
+        if analyze:
+            for database in pair:
+                database.execute("ANALYZE acct")
+        for key in (3, 250, 499, 10_000, -5, None, 3):
+            plan = _same_answers(pair, self.POINT, (key,))
+            assert plan["access_paths"] == ["index_eq(acct.id)"]
+            assert plan["cost_based"] is analyze
+        if analyze:
+            assert _memo(pair[0], self.POINT) is not None
+            estimate = _same_answers(pair, self.POINT, (10_000,))
+            assert estimate["estimated_rows"] == 0.0
+            assert "id = 10000" in estimate["estimates"][0]["interval"]
+
+    def test_other_conjuncts_scale_the_estimate_exactly(self):
+        pair = _pair()
+        for database in pair:
+            database.execute("ANALYZE acct")
+        for sql in ("SELECT id FROM acct WHERE code IS NULL AND id = ?",
+                    "SELECT id FROM acct WHERE id = ? AND grp IN (1, 2)"):
+            for key in (20, 21, 9_999):
+                plan = _same_answers(pair, sql, (key,))
+                assert plan["access_paths"] == ["index_eq(acct.id)"]
+            assert _memo(pair[0], sql) is not None
+
+    def test_non_unique_index_is_never_recorded(self):
+        database = Database()
+        database.execute("CREATE TABLE pairs (id INT PRIMARY KEY, half INT)")
+        database.execute("CREATE INDEX pairs_half ON pairs (half)")
+        database.executemany("INSERT INTO pairs VALUES (?, ?)",
+                             [(i, i // 2) for i in range(500)])
+        database.execute("ANALYZE pairs")
+        sql = "SELECT id FROM pairs WHERE half = ?"
+        assert sorted(database.query(sql, (7,))) == [(14,), (15,)]
+        result = database.execute(sql, (8,))
+        assert result.plan["access_paths"] == ["index_eq(pairs.half)"]
+        assert _memo(database, sql) is None
+
+    def test_dml_estimates_match_the_uncached_planner(self):
+        pair = _pair()
+        for database in pair:
+            database.execute("ANALYZE acct")
+        where = parse("DELETE FROM acct WHERE id = ?").where
+        memo = ProbeMemo()
+        for key in (7, 8, 900, None):
+            outcomes = [database.execute(
+                "UPDATE acct SET bal = bal + 1 WHERE id = ?",
+                (key,)).affected for database in pair]
+            assert outcomes[0] == outcomes[1]
+            planner = Planner(pair[0].catalog)
+            recorded = planner.plan_dml("acct", where, (key,), memo=memo)
+            priced = planner.plan_dml("acct", where, (key,))
+            assert recorded.estimate == priced.estimate
+            assert recorded.as_dict() == priced.as_dict()
+        assert memo._record[2] is not None
+        assert _memo(pair[0], "UPDATE acct SET bal = bal + 1 WHERE "
+                     "id = ?") is not None
+
+    def test_one_page_table_keeps_the_heap_scan(self):
+        pair = []
+        for cache in (128, 0):
+            database = Database(plan_cache_size=cache)
+            database.execute("CREATE TABLE tiny (id INT PRIMARY KEY, v INT)")
+            database.executemany("INSERT INTO tiny VALUES (?, ?)",
+                                 [(i, i) for i in range(10)])
+            database.execute("ANALYZE tiny")
+            pair.append(database)
+        for key in (1, 9, 50):
+            plan = _same_answers(pair, "SELECT v FROM tiny WHERE id = ?",
+                                 (key,))
+            assert plan["access_paths"] == ["seq_scan(tiny)"]
+        assert _memo(pair[0], "SELECT v FROM tiny WHERE id = ?") is None
+
+    def test_valid_columnar_mirror_is_priced_per_binding(self):
+        pair = _pair(isolation="snapshot", columnar=True)
+        for database in pair:
+            database.execute("ANALYZE acct")
+            database.vacuum(aggressive=True)
+            assert database.stats()["columnar"]["tables"]["acct"][
+                "mirror_valid"]
+        for key in (4, 400, 4000):
+            _same_answers(pair, self.POINT, (key,))
+        # The mirror made a columnar scan legal: nothing was recorded.
+        assert pair[0]._plan_cache._entries[
+            fingerprint(self.POINT).text].template.memo._record == \
+            (None, None, None)
+        for database in pair:
+            database.execute("UPDATE acct SET bal = 0 WHERE id = 1")
+        for key in (1, 2):
+            _same_answers(pair, self.POINT, (key,))
+        assert _memo(pair[0], self.POINT) is not None
+
+    def test_two_unique_keys_are_not_one_probe(self):
+        pair = _pair()
+        for database in pair:
+            database.execute("ANALYZE acct")
+        sql = "SELECT id FROM acct WHERE id = ? AND code = ?"
+        for params in ((5, 10_005), (5, 10_006), (600, 10_001)):
+            _same_answers(pair, sql, params)
+        assert _memo(pair[0], sql) is None
+
+    def test_non_unique_equality_is_priced_per_binding(self):
+        pair = _pair()
+        for database in pair:
+            database.execute("CREATE INDEX acct_grp ON acct (grp)")
+            database.execute("ANALYZE acct")
+        sql = "SELECT id FROM acct WHERE grp = ?"
+        paths = {_same_answers(pair, sql, (grp,))["access_paths"][0]
+                 for grp in (3, 99, 4, -1)}
+        assert paths == {"seq_scan(acct)", "index_eq(acct.grp)"}
+        assert _memo(pair[0], sql) is None
+
+    def test_predicate_sightings_match_the_uncached_run(self):
+        pair = _pair()
+        for database in pair:
+            database.execute("ANALYZE acct")
+        for key in range(20):
+            _same_answers(pair, self.POINT, (key,))
+            _same_answers(pair, "SELECT id FROM acct WHERE code = ? "
+                          "AND grp IS NOT NULL", (10_000 + key,))
+        counts = [database.catalog.table("acct").predicate_counts
+                  for database in pair]
+        assert counts[0] == counts[1]
+        assert counts[0][("id", "=")] == 20
+
+    def test_drop_index_between_executions_replans_to_seq(self):
+        pair = _pair()
+        for database in pair:
+            database.execute("ANALYZE acct")
+        sql = "SELECT id FROM acct WHERE code = ?"
+        plan = _same_answers(pair, sql, (10_042,))
+        assert plan["access_paths"] == ["index_eq(acct.code)"]
+        for database in pair:
+            database.execute("DROP INDEX acct_code")
+        plan = _same_answers(pair, sql, (10_043,))
+        assert plan["access_paths"] == ["seq_scan(acct)"]
+
+    def test_detached_index_surfaces_as_a_replan(self):
+        database = _pair()[0]
+        database.execute("ANALYZE acct")
+        sql = "SELECT id FROM acct WHERE code = ?"
+        assert database.query(sql, (10_001,)) == [(1,)]
+        table = database.catalog.table("acct")
+        # Drift no version counter sees: the index object is swapped.
+        index = table.detach_index("acct_code")
+        table.attach_index(index.__class__(
+            index.definition, table.schema, index.pages, index.file_id),
+            populate=False)
+        invalidations = gauges(database)["invalidations"]
+        assert database.query(sql, (10_002,)) == [(2,)]
+        assert gauges(database)["invalidations"] == invalidations + 1
+
+    def test_serializable_registers_key_ranges_and_aborts_write_skew(self):
+        database = _pair(isolation="serializable")[0]
+        database.execute("ANALYZE acct")
+        database.query(self.POINT, (1,))              # warm the entry
+        database.execute("BEGIN")
+        database.query(self.POINT, (1,))
+        database.query(self.POINT, (2,))
+        ssi = database.transactions.ssi
+        tracker = ssi.tracker(database._session_txn.txn_id)
+        assert len(tracker.key_reads["acct"][("id",)]) == 2
+        database.execute("COMMIT")
+
+        done = threading.Event()
+        outcome = {}
+
+        def other():
+            try:
+                database.execute("BEGIN")
+                total = sum(database.query(self.POINT, (k,))[0][3]
+                            for k in (1, 2))
+                assert total == 100
+                database.execute("UPDATE acct SET bal = bal - 100 "
+                                 "WHERE id = 2")
+                database.execute("COMMIT")
+                outcome["other"] = "committed"
+            except RETRYABLE:
+                database.execute("ROLLBACK")
+                outcome["other"] = "aborted"
+            finally:
+                done.set()
+
+        database.execute("BEGIN")
+        total = sum(database.query(self.POINT, (k,))[0][3] for k in (1, 2))
+        assert total == 100
+        thread = threading.Thread(target=other)
+        thread.start()
+        assert done.wait(timeout=30)
+        thread.join()
+        try:
+            database.execute("UPDATE acct SET bal = bal - 100 WHERE id = 1")
+            database.execute("COMMIT")
+            outcome["self"] = "committed"
+        except RETRYABLE:
+            database.execute("ROLLBACK")
+            outcome["self"] = "aborted"
+        assert "aborted" in outcome.values(), outcome

@@ -1,12 +1,14 @@
 """Every legal engine configuration against an outside oracle.
 
-One seeded statement stream — bulk load, secondary index, point and
-range reads, aggregates, a join, top-k, single-row and set DML, an
-explicit transaction that commits and one that rolls back, ANALYZE and
-VACUUM part way through — runs through ``Database.execute`` once per
+One seeded statement stream — bulk load, secondary index, unique
+indexes over duplicate, distinct and NULL keys, point and range reads,
+aggregates, a join, top-k, single-row and set DML, an explicit
+transaction that commits and one that rolls back, ANALYZE and VACUUM
+part way through — runs through ``Database.execute`` once per
 configuration and, statement by statement, through stdlib ``sqlite3``.
-Every SELECT must return sqlite's rows and every DML statement must
-report sqlite's affected-row count.
+Every SELECT must return sqlite's rows, every DML statement must report
+sqlite's affected-row count, and a statement sqlite refuses as a
+uniqueness violation must fail here too.
 
 The matrix is the full product of the configuration axes:
 
@@ -30,6 +32,7 @@ import sqlite3
 import pytest
 
 from repro.data import Database
+from repro.errors import DuplicateKeyError
 
 ITEMS_DDL = ("CREATE TABLE items (id INT PRIMARY KEY, grp INT NOT NULL, "
              "value INT NOT NULL, note TEXT)")
@@ -154,6 +157,40 @@ def _stream(seed: int = 7) -> list[tuple[str, tuple]]:
     reads(20)       # the columnar mirror is valid until the next write
     writes(20)
     reads(25)
+    # Unique indexes: duplicate keys are refused in every isolation
+    # level, distinct keys and any number of NULL keys are admitted.
+    statements.append(("CREATE UNIQUE INDEX items_value ON items (value)",
+                       ()))
+    statements.append(("CREATE TABLE tags (id INT PRIMARY KEY, code INT, "
+                       "rank INT, label TEXT)", ()))
+    for row in ((1, 10, 1, None), (2, 20, 2, None), (3, 10, 3, "c"),
+                (4, None, 4, "d"), (5, None, 5, "e")):
+        statements.append(("INSERT INTO tags VALUES (?, ?, ?, ?)", row))
+    statements.append(("CREATE UNIQUE INDEX tags_code ON tags (code)", ()))
+    statements.append(("CREATE UNIQUE INDEX tags_rank ON tags (rank)", ()))
+    statements.append(("CREATE UNIQUE INDEX tags_label ON tags (label)",
+                       ()))
+    statements.append(("INSERT INTO tags VALUES (?, ?, ?, ?)",
+                       (6, 30, 6, None)))
+    statements.append(("INSERT INTO tags VALUES (?, ?, ?, ?)",
+                       (7, 40, 6, "g")))
+    statements.append(("INSERT INTO tags VALUES (?, ?, ?, ?)",
+                       (8, 50, 8, "c")))
+    statements.append(("UPDATE tags SET rank = ? WHERE id = ?", (2, 1)))
+    statements.append(("UPDATE tags SET label = NULL WHERE id = ?", (3,)))
+
+    def tag_reads() -> None:
+        for rank in (1, 6, 9):
+            statements.append(("SELECT * FROM tags WHERE rank = ?",
+                               (rank,)))
+        statements.append(("SELECT id FROM tags WHERE code = ?", (10,)))
+        statements.append(("SELECT id FROM tags WHERE label IS NULL", ()))
+        statements.append(("SELECT id, rank FROM tags WHERE label = ?",
+                           ("d",)))
+
+    tag_reads()
+    statements.append(("ANALYZE", ()))
+    tag_reads()
     return statements
 
 
@@ -213,6 +250,7 @@ def test_stream_exercises_every_statement_shape():
     """The stream reaches the shapes the matrix is meant to compare."""
     texts = [sql for sql, _ in STREAM]
     for fragment in ("WHERE id = ?", "id > ? AND id < ?", "GROUP BY grp",
+                     "CREATE UNIQUE INDEX", "label IS NULL",
                      "JOIN groups", "ORDER BY value DESC", "IS NULL",
                      "BETWEEN", "INSERT INTO", "UPDATE items SET grp",
                      "DELETE FROM", "ROLLBACK", "COMMIT", "ANALYZE",
@@ -227,7 +265,12 @@ def test_configuration_agrees_with_sqlite(config):
     oracle = _oracle()
     try:
         for position, (sql, params) in enumerate(STREAM):
-            result = db.execute(sql, params)
+            try:
+                result = db.execute(sql, params)
+            except DuplicateKeyError:
+                with pytest.raises(sqlite3.IntegrityError):
+                    oracle.execute(sql, params)
+                continue
             if sql.startswith(("BEGIN", "COMMIT", "ROLLBACK", "ANALYZE",
                                "VACUUM", "CREATE")):
                 oracle.execute(sql if not sql.startswith(("ANALYZE",
